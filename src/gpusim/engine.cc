@@ -76,6 +76,33 @@ SimResult::find(const std::string &name) const
     return nullptr;
 }
 
+const std::vector<EngineCounterDef> &
+engine_counter_registry()
+{
+    static const std::vector<EngineCounterDef> registry = {
+        {"gpusim.units", [](const EngineCounters &c) { return c.units; }},
+        {"gpusim.events",
+         [](const EngineCounters &c) { return c.events(); }},
+        {"gpusim.events.clock",
+         [](const EngineCounters &c) { return c.clock_events; }},
+        {"gpusim.events.ready",
+         [](const EngineCounters &c) { return c.ready_events; }},
+        {"gpusim.events.activate",
+         [](const EngineCounters &c) { return c.activate_events; }},
+        {"gpusim.events.deadline",
+         [](const EngineCounters &c) { return c.deadline_events; }},
+        {"gpusim.crossings",
+         [](const EngineCounters &c) { return c.crossings; }},
+        {"gpusim.repredictions",
+         [](const EngineCounters &c) { return c.repredictions; }},
+        {"gpusim.predictions",
+         [](const EngineCounters &c) { return c.predictions; }},
+        {"gpusim.peak_queue",
+         [](const EngineCounters &c) { return c.peak_queue; }},
+    };
+    return registry;
+}
+
 GpuSim::GpuSim(DeviceSpec device) : device_(std::move(device))
 {
     MG_CHECK(device_.num_sms > 0) << "device needs at least one SM";
@@ -153,7 +180,6 @@ struct Clock {
     double rate = 0;  ///< Full resource rate, progress units per us.
     double value = 0;
     double last_t = 0;
-    std::uint64_t epoch = 0;
     /// Min-heap of (threshold progress value, unit*4 + component).
     std::priority_queue<std::pair<double, std::int64_t>,
                         std::vector<std::pair<double, std::int64_t>>,
@@ -208,20 +234,18 @@ struct KernelRun {
     index_t completed = 0;
     index_t max_chunk = 1;
     int occ = 1;
-    bool ready = false;
-    bool done = false;
     double ready_t = kInf;
     double start_t = kInf;
     double end_t = 0;
     double unit_busy = 0;
 };
 
+/// A pending engine event other than a clock crossing.
 struct Event {
     double t = 0;
     std::uint64_t seq = 0;  ///< Tie-break for determinism.
-    int kind = 0;           ///< 0 clock, 1 kernel-ready, 2 unit-activate.
+    int kind = 0;           ///< 1 kernel-ready, 2 unit-activate, 3 deadline.
     int id = 0;
-    std::uint64_t epoch = 0;
 
     friend bool operator>(const Event &a, const Event &b)
     {
@@ -233,6 +257,101 @@ struct Event {
         }
         return a.seq > b.seq;
     }
+};
+
+/// The clocks' crossing predictions: an indexed binary min-heap holding
+/// exactly one (t, seq) key per clock, so a prediction that a consumer
+/// change makes obsolete is overwritten in place instead of lingering as
+/// a stale entry. An idle clock keys at t = +inf and sinks to the bottom.
+class ClockQueue {
+  public:
+    explicit ClockQueue(int clocks)
+        : keys_(static_cast<std::size_t>(clocks)),
+          heap_(static_cast<std::size_t>(clocks)),
+          pos_(static_cast<std::size_t>(clocks))
+    {
+        for (int c = 0; c < clocks; ++c) {
+            heap_[static_cast<std::size_t>(c)] = c;
+            pos_[static_cast<std::size_t>(c)] = c;
+        }
+    }
+
+    int top() const { return heap_.front(); }
+    double top_t() const
+    {
+        return keys_[static_cast<std::size_t>(top())].t;
+    }
+    /// Clocks holding a finite prediction.
+    std::size_t live() const { return live_; }
+
+    /// Replaces `clock`'s prediction; t = +inf clears it.
+    void set(int clock, double t, std::uint64_t seq)
+    {
+        Key &key = keys_[static_cast<std::size_t>(clock)];
+        live_ += static_cast<std::size_t>(t < kInf) -
+                 static_cast<std::size_t>(key.t < kInf);
+        const Key before = key;
+        key = {t, seq};
+        const std::size_t i = pos_[static_cast<std::size_t>(clock)];
+        if (key < before) {
+            sift_up(i);
+        } else {
+            sift_down(i);
+        }
+    }
+
+  private:
+    struct Key {
+        double t = kInf;
+        std::uint64_t seq = 0;
+
+        friend bool operator<(const Key &a, const Key &b)
+        {
+            return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+        }
+    };
+
+    bool less(std::size_t a, std::size_t b) const
+    {
+        return keys_[static_cast<std::size_t>(heap_[a])] <
+               keys_[static_cast<std::size_t>(heap_[b])];
+    }
+    void swap_slots(std::size_t a, std::size_t b)
+    {
+        std::swap(heap_[a], heap_[b]);
+        pos_[static_cast<std::size_t>(heap_[a])] = static_cast<int>(a);
+        pos_[static_cast<std::size_t>(heap_[b])] = static_cast<int>(b);
+    }
+    void sift_up(std::size_t i)
+    {
+        while (i > 0 && less(i, (i - 1) / 2)) {
+            swap_slots(i, (i - 1) / 2);
+            i = (i - 1) / 2;
+        }
+    }
+    void sift_down(std::size_t i)
+    {
+        for (;;) {
+            std::size_t best = i;
+            const std::size_t l = 2 * i + 1;
+            if (l < heap_.size() && less(l, best)) {
+                best = l;
+            }
+            if (l + 1 < heap_.size() && less(l + 1, best)) {
+                best = l + 1;
+            }
+            if (best == i) {
+                return;
+            }
+            swap_slots(i, best);
+            i = best;
+        }
+    }
+
+    std::vector<Key> keys_;  ///< Per clock.
+    std::vector<int> heap_;  ///< Heap slot -> clock.
+    std::vector<int> pos_;   ///< Clock -> heap slot.
+    std::size_t live_ = 0;
 };
 
 }  // namespace
@@ -259,15 +378,36 @@ GpuSim::run()
         clocks[static_cast<std::size_t>(2 + 3 * s + 2)].rate =
             device_.sm_dram_bytes_per_us();
     }
+    // Two queues share one (t, seq) order: the clocks' live crossing
+    // predictions, and every other event. A crossing wins a tie at equal
+    // t. seq is one counter across both, so equal-time ties resolve in
+    // submission order.
+    ClockQueue predictions(static_cast<int>(clocks.size()));
     std::priority_queue<Event, std::vector<Event>, std::greater<>> events;
     std::uint64_t seq = 0;
+    EngineCounters counters;
 
-    const auto push_clock_prediction = [&](int clock_id) {
-        Clock &c = clocks[static_cast<std::size_t>(clock_id)];
-        const double t = c.next_crossing();
+    const auto note_queue_length = [&] {
+        counters.peak_queue = std::max<std::uint64_t>(
+            counters.peak_queue, events.size() + predictions.live());
+    };
+    const auto push_event = [&](double t, int kind, int id) {
+        events.push({t, seq++, kind, id});
+        note_queue_length();
+    };
+    const auto set_prediction = [&](int clock_id, double t) {
         if (t < kInf) {
-            events.push({t, seq++, 0, clock_id, c.epoch});
+            predictions.set(clock_id, t, seq++);
+            ++counters.predictions;
+            note_queue_length();
+        } else {
+            predictions.set(clock_id, kInf, 0);
         }
+    };
+    const auto predict = [&](int clock_id) {
+        set_prediction(clock_id,
+                       clocks[static_cast<std::size_t>(clock_id)]
+                           .next_crossing());
     };
 
     // ---- Kernel runtime state.
@@ -301,9 +441,6 @@ GpuSim::run()
 
     int kernels_done = 0;
 
-    // Forward declarations as std::function-free lambdas via explicit
-    // structure: the admission path and the completion path call each
-    // other, so both capture through a small mutable struct.
     const auto fits = [&](const SmState &sm, const TbShape &shape) {
         if (sm.slots + 1 > device_.max_tb_per_sm) {
             return false;
@@ -347,8 +484,6 @@ GpuSim::run()
             const int k = issuable[pos];
             KernelNode &node = kernels_[static_cast<std::size_t>(k)];
             KernelRun &run = runs[static_cast<std::size_t>(k)];
-            // Respect the per-kernel occupancy bound on this SM as well:
-            // count resident units of this kernel.
             if (!fits(sm, node.launch.shape)) {
                 continue;
             }
@@ -403,7 +538,8 @@ GpuSim::run()
 
             const double activate_t =
                 now + device_.tb_overhead_us * static_cast<double>(take);
-            events.push({activate_t, seq++, 2, unit_id, 0});
+            ++counters.units;
+            push_event(activate_t, 2, unit_id);
             return true;
         }
         return false;
@@ -437,7 +573,6 @@ GpuSim::run()
 
     const auto finish_kernel = [&](int k, double now) {
         KernelRun &run = runs[static_cast<std::size_t>(k)];
-        run.done = true;
         run.end_t = now;
         if (run.start_t == kInf) {
             run.start_t = now;  // Empty kernel: zero-duration at ready time.
@@ -446,8 +581,7 @@ GpuSim::run()
         for (const int child : kernels_[static_cast<std::size_t>(k)]
                                    .children) {
             if (--unresolved[static_cast<std::size_t>(child)] == 0) {
-                events.push({now + device_.kernel_launch_us, seq++, 1, child,
-                             0});
+                push_event(now + device_.kernel_launch_us, 1, child);
             }
         }
     };
@@ -482,10 +616,11 @@ GpuSim::run()
             unit.work.tensor_flops, unit.work.cuda_flops,
             unit.work.dram_bytes(), unit.work.mem_bytes(),
             unit.work.mem_bytes()};
-        // Latency-bound cap: a lone block cannot saturate a pipe. It adds
-        // a fixed per-component deadline at the capped private rate; the
-        // component is done when both the shared progress clock crosses
-        // *and* the private deadline passes.
+        // Latency-bound cap: a lone block cannot saturate a pipe. Each
+        // component has a fixed deadline at the capped private rate and is
+        // done when both the shared progress clock crosses *and* its
+        // private deadline passes. Only the latest deadline can be the
+        // last thing a unit waits for, so one event stands for all.
         const KernelNode &node =
             kernels_[static_cast<std::size_t>(unit.kernel)];
         double cap = 1.0;
@@ -501,14 +636,16 @@ GpuSim::run()
                 0,  // DRAM handled through the SM burst deadline below.
                 0,
                 device_.sm_dram_bytes_per_us() * cap};
+            double deadline = -kInf;
             for (int comp = 0; comp < kNumComponents; ++comp) {
-                if (comps[comp] <= 0 || private_rates[comp] <= 0) {
-                    continue;
+                if (comps[comp] > 0 && private_rates[comp] > 0) {
+                    deadline = std::max(
+                        deadline, now + comps[comp] / private_rates[comp]);
                 }
-                const double deadline =
-                    now + comps[comp] / private_rates[comp];
+            }
+            if (deadline > -kInf) {
                 ++unit.pending;
-                events.push({deadline, seq++, 3, unit_id, 0});
+                push_event(deadline, 3, unit_id);
             }
         }
         for (int comp = 0; comp < kNumComponents; ++comp) {
@@ -536,9 +673,8 @@ GpuSim::run()
                 {c.value + comps[comp],
                  static_cast<std::int64_t>(unit_id) * kNumComponents +
                      comp});
-            ++c.epoch;
             ++unit.pending;
-            push_clock_prediction(clock_id);
+            predict(clock_id);
         }
         if (unit.pending == 0) {
             complete_unit(unit_id, now);
@@ -548,27 +684,33 @@ GpuSim::run()
     // ---- Seed: kernels with no dependencies become ready after launch.
     for (int k = 0; k < num_kernels; ++k) {
         if (unresolved[static_cast<std::size_t>(k)] == 0) {
-            events.push({device_.kernel_launch_us, seq++, 1, k, 0});
+            push_event(device_.kernel_launch_us, 1, k);
         }
     }
 
     double now = 0;
-    while (!events.empty()) {
-        const Event ev = events.top();
-        events.pop();
-        MG_CHECK(ev.t >= now - 1e-6) << "simulator time went backwards";
-        now = std::max(now, ev.t);
+    for (;;) {
+        const bool clock_due =
+            predictions.top_t() < kInf &&
+            (events.empty() || predictions.top_t() <= events.top().t);
+        if (!clock_due && events.empty()) {
+            break;
+        }
+        const double t = clock_due ? predictions.top_t() : events.top().t;
+        MG_CHECK(t >= now - 1e-6) << "simulator time went backwards";
+        now = std::max(now, t);
 
-        switch (ev.kind) {
-          case 0: {  // Clock crossing prediction.
-            Clock &c = clocks[static_cast<std::size_t>(ev.id)];
-            if (ev.epoch != c.epoch) {
-                break;  // Stale prediction.
-            }
-            const double t = c.next_crossing();
-            if (t > ev.t + 1e-9 * std::max(1.0, ev.t)) {
-                events.push({t, seq++, 0, ev.id, c.epoch});
-                break;
+        if (clock_due) {  // Clock crossing prediction.
+            ++counters.clock_events;
+            const int clock_id = predictions.top();
+            Clock &c = clocks[static_cast<std::size_t>(clock_id)];
+            const double next = c.next_crossing();
+            if (next > t + 1e-9 * std::max(1.0, t)) {
+                // Rounding moved the crossing later since it was
+                // predicted: predict it again.
+                ++counters.repredictions;
+                set_prediction(clock_id, next);
+                continue;
             }
             c.advance(now);
             // Fire every threshold crossed at this instant.
@@ -578,19 +720,23 @@ GpuSim::run()
                    c.thresholds.top().first <= limit) {
                 const std::int64_t tag = c.thresholds.top().second;
                 c.thresholds.pop();
-                ++c.epoch;
+                ++counters.crossings;
                 const int unit_id = static_cast<int>(tag / kNumComponents);
                 Unit &unit = units[static_cast<std::size_t>(unit_id)];
                 if (--unit.pending == 0) {
                     complete_unit(unit_id, now);
                 }
             }
-            push_clock_prediction(ev.id);
-            break;
-          }
+            predict(clock_id);
+            continue;
+        }
+
+        const Event ev = events.top();
+        events.pop();
+        switch (ev.kind) {
           case 1: {  // Kernel ready.
+            ++counters.ready_events;
             KernelRun &run = runs[static_cast<std::size_t>(ev.id)];
-            run.ready = true;
             run.ready_t = now;
             if (run.total_tbs == 0) {
                 run.start_t = now;
@@ -602,10 +748,12 @@ GpuSim::run()
             break;
           }
           case 2: {  // Unit activation after its prologue.
+            ++counters.activate_events;
             activate_unit(ev.id, now);
             break;
           }
-          case 3: {  // Private (latency-bound) component deadline passed.
+          case 3: {  // Private (latency-bound) deadline passed.
+            ++counters.deadline_events;
             Unit &unit = units[static_cast<std::size_t>(ev.id)];
             if (--unit.pending == 0) {
                 complete_unit(ev.id, now);
@@ -621,6 +769,7 @@ GpuSim::run()
 
     // ---- Results.
     SimResult result;
+    result.counters = counters;
     result.kernels.reserve(static_cast<std::size_t>(num_kernels));
     for (int k = 0; k < num_kernels; ++k) {
         const KernelNode &node = kernels_[static_cast<std::size_t>(k)];

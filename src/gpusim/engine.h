@@ -25,10 +25,13 @@
 ///
 /// Implementation: per-resource progress clocks. A clock advances at
 /// R / N(t) where N is its live consumer count; a block's component
-/// finishes when the clock crosses (value-at-admission + work). Crossings
-/// are tracked with lazily-invalidated predictions in one global event
-/// heap, so simulation cost is O(blocks · log), independent of how long
-/// blocks overlap.
+/// finishes when the clock crosses (value-at-admission + work). Each clock
+/// holds exactly one live prediction of its next crossing, kept in an
+/// indexed min-heap over the clocks and overwritten in place whenever the
+/// clock's consumer set changes; every other event (kernel ready, block
+/// activation, latency-cap deadline) sits in a second heap under the same
+/// (time, sequence) order. No event is ever popped stale, so simulation
+/// cost is O(blocks · log), independent of how long blocks overlap.
 namespace multigrain::sim {
 
 struct KernelStats {
@@ -53,10 +56,44 @@ struct KernelStats {
     double duration_us() const { return end_us - start_us; }
 };
 
+/// Deterministic work counters of one GpuSim::run(): how much host work
+/// the engine did to produce the timeline. A pure function of the
+/// submitted launches, so they can be compared exactly across builds and
+/// machines; they say nothing about simulated time.
+struct EngineCounters {
+    std::uint64_t units = 0;            ///< Block chunks admitted to SMs.
+    std::uint64_t clock_events = 0;     ///< Clock crossing predictions popped.
+    std::uint64_t ready_events = 0;     ///< Kernels made ready to issue.
+    std::uint64_t activate_events = 0;  ///< Unit prologues that finished.
+    std::uint64_t deadline_events = 0;  ///< Unit latency-cap deadlines.
+    /// Component thresholds drained by clock crossings.
+    std::uint64_t crossings = 0;
+    /// Popped clock predictions whose crossing had moved later (rounding)
+    /// and were predicted again instead of firing.
+    std::uint64_t repredictions = 0;
+    std::uint64_t predictions = 0;  ///< Clock predictions set or replaced.
+    std::uint64_t peak_queue = 0;   ///< Most events pending at one time.
+
+    std::uint64_t events() const
+    {
+        return clock_events + ready_events + activate_events +
+               deadline_events;
+    }
+};
+
+/// One named EngineCounters entry, for tools that print or export every
+/// counter without a hand-maintained list (mgprof's "gpusim.*" counters).
+struct EngineCounterDef {
+    const char *key;
+    std::uint64_t (*get)(const EngineCounters &);
+};
+const std::vector<EngineCounterDef> &engine_counter_registry();
+
 struct SimResult {
     double total_us = 0;
     TbWork work;
     std::vector<KernelStats> kernels;
+    EngineCounters counters;
 
     double dram_bytes() const { return work.dram_bytes(); }
     /// Sum of durations of kernels whose name starts with `prefix`.
@@ -120,7 +157,6 @@ class GpuSim {
         KernelLaunch launch;
         int stream = 0;
         std::vector<int> deps;
-        int unresolved = 0;
         std::vector<int> children;
     };
 

@@ -31,6 +31,7 @@
 #include "common/timer.h"
 #include "core/plan_cache.h"
 #include "gpusim/device.h"
+#include "gpusim/engine.h"
 #include "gpusim/trace.h"
 #include "profiler/export.h"
 #include "profiler/metrics.h"
@@ -222,6 +223,13 @@ run(const Options &opt)
     for (const PlanCacheMetricDef &metric : plan_cache_metric_registry()) {
         profiled.counters.push_back(
             {metric.key, metric.unit, metric.get(cache_stats)});
+    }
+    // The last step's engine work counters (deterministic per input).
+    for (const sim::EngineCounterDef &counter :
+         sim::engine_counter_registry()) {
+        profiled.counters.push_back(
+            {counter.key, "count",
+             static_cast<double>(counter.get(result.sim.counters))});
     }
 
     if (opt.table) {
