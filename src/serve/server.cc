@@ -29,6 +29,16 @@ request_event(TraceEventKind kind, double t_us, const Request &r)
     return e;
 }
 
+/// The plan-holder key of one batch shape: runners, footprints, and
+/// round compositions are all keyed on it.
+std::string
+runner_key(const std::string &model, SliceMode mode, index_t bucket,
+           int planned_batch)
+{
+    return model + "|" + to_string(mode) + "|bucket=" +
+           std::to_string(bucket) + "|batch=" + std::to_string(planned_batch);
+}
+
 /// tiny: the gate preset — Poisson traffic over the tiny test model with
 /// three tenants across all SLO classes, sized so batches form (arrival
 /// interval well below the round time) without overflowing the queue.
@@ -227,10 +237,8 @@ TransformerRunner &
 Server::runner_for(const std::string &model, SliceMode mode,
                    index_t bucket, int planned_batch)
 {
-    const std::string key = model + "|" + to_string(mode) +
-                            "|bucket=" + std::to_string(bucket) +
-                            "|batch=" + std::to_string(planned_batch);
-    std::unique_ptr<TransformerRunner> &slot = runners_[key];
+    std::unique_ptr<TransformerRunner> &slot =
+        runners_[runner_key(model, mode, bucket, planned_batch)];
     if (slot == nullptr) {
         const ModelConfig bucketed =
             bucketed_model(model_config_by_name(model), bucket);
@@ -252,9 +260,7 @@ std::uint64_t
 Server::batch_footprint(const std::string &model, SliceMode mode,
                         index_t bucket, int planned_batch)
 {
-    const std::string key = model + "|" + to_string(mode) +
-                            "|bucket=" + std::to_string(bucket) +
-                            "|batch=" + std::to_string(planned_batch);
+    const std::string key = runner_key(model, mode, bucket, planned_batch);
     const auto it = footprints_.find(key);
     if (it != footprints_.end()) {
         return it->second;
@@ -288,19 +294,41 @@ Server::dispatch_round(double now_us, std::int64_t round_id,
     }
     round_bytes_.push_back(hbm_bytes);
 
-    // One simulator per round: every batch replays its cached layer
-    // graphs under its own prefix and a fresh stream binding, so the
-    // round's batches co-schedule across simulated streams.
-    sim::GpuSim sim(device_);
+    // One simulator per distinct round: every batch replays its cached
+    // layer graphs under its own prefix and a fresh stream binding, so the
+    // round's batches co-schedule across simulated streams. The result is
+    // a pure function of the round's composition (the device is fixed per
+    // Server), so a repeated composition reuses it.
     std::vector<std::string> prefixes;
+    std::string composition;
     prefixes.reserve(round.size());
     for (std::size_t j = 0; j < round.size(); ++j) {
         prefixes.push_back("B" + std::to_string(j) + ".");
-        std::vector<int> binding;
-        runner_for(round[j]).plan_inference_into(sim, binding,
-                                                 prefixes[j]);
+        const Batch &b = round[j];
+        composition += runner_key(b.model, b.mode, b.bucket, b.planned_batch);
+        composition += ';';
     }
-    const sim::SimResult result = sim.run();
+    auto memo = round_results_.find(composition);
+    if (memo == round_results_.end()) {
+        sim::GpuSim sim(device_);
+        for (std::size_t j = 0; j < round.size(); ++j) {
+            std::vector<int> binding;
+            runner_for(round[j]).plan_inference_into(sim, binding,
+                                                     prefixes[j]);
+        }
+        memo = round_results_.emplace(std::move(composition), sim.run())
+                   .first;
+        ++round_sims_;
+    } else {
+        // The same layer-graph lookups the replay makes, so plan-cache
+        // hit/miss counters do not depend on the memo.
+        for (const Batch &b : round) {
+            runner_for(b).layer_graph(
+                device_, TransformerRunner::LayerKind::kInference);
+        }
+        ++round_sim_hits_;
+    }
+    const sim::SimResult &result = memo->second;
 
     for (std::size_t j = 0; j < round.size(); ++j) {
         InFlightBatch f;
@@ -690,6 +718,8 @@ Server::finish(double now_us)
     // ---- Reduce the records into the report ----------------------------
     ServeReport report = std::move(report_);
     report.rounds = rounds_;
+    report.round_sims = round_sims_;
+    report.round_sim_hits = round_sim_hits_;
     report.busy_us = busy_accum_us_;
     report.admission = queue_->stats();
     report.round_hbm_bytes = std::move(round_bytes_);

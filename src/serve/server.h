@@ -10,6 +10,7 @@
 
 #include "core/plan_cache.h"
 #include "gpusim/device.h"
+#include "gpusim/engine.h"
 #include "profiler/history.h"
 #include "profiler/percentile.h"
 #include "serve/admission.h"
@@ -26,11 +27,13 @@
 /// (serve/scheduler.h), and every round of batches is replayed into one
 /// GpuSim — each batch's PlanCache'd layer graphs under its own name
 /// prefix and stream binding, so concurrent batches overlap across
-/// simulated streams. Virtual serving time advances on two kinds of
-/// events only (request arrival, round completion), so the entire run —
-/// queue depths, batch shapes, per-request latencies — is a pure
-/// function of (preset, seed, device), which is what lets mgperf gate
-/// serving behavior as tightly as it gates kernel time.
+/// simulated streams. A round's simulated result depends only on its
+/// composition, so each Server memoizes it per composition and a repeated
+/// round skips GpuSim entirely. Virtual serving time advances on two
+/// kinds of events only (request arrival, round completion), so the
+/// entire run — queue depths, batch shapes, per-request latencies — is a
+/// pure function of (preset, seed, device), which is what lets mgperf
+/// gate serving behavior as tightly as it gates kernel time.
 ///
 /// The simulation nests two clocks: gpusim's microsecond timeline inside
 /// one round, and the serving clock across rounds. A round dispatched at
@@ -95,6 +98,11 @@ struct ServeReport {
     /// Actual batch size -> number of batches dispatched at that size.
     std::map<int, int> batch_histogram;
     int rounds = 0;
+    /// Rounds whose composition was simulated by GpuSim, and rounds that
+    /// reused the memoized result of an earlier identical composition;
+    /// together they are `rounds`.
+    int round_sims = 0;
+    int round_sim_hits = 0;
     std::uint64_t completed = 0;
     std::uint64_t deadline_miss = 0;
     /// Requests lost in flight when this replica was killed (ISSUE 9);
@@ -248,6 +256,11 @@ class Server {
     std::map<std::string, std::unique_ptr<TransformerRunner>> runners_;
     /// Memoized batch_footprint results, same key space as runners_.
     std::map<std::string, std::uint64_t> footprints_;
+    /// Simulated result per round composition: the runner keys of the
+    /// round's batches in dispatch order.
+    std::map<std::string, sim::SimResult> round_results_;
+    int round_sims_ = 0;
+    int round_sim_hits_ = 0;
     /// Per-round projected byte watermarks, moved into the report.
     std::vector<std::uint64_t> round_bytes_;
     std::vector<InFlightBatch> in_flight_;

@@ -149,6 +149,8 @@ print_report(const serve::ServeReport &report)
                 report.gpu_util * 100.0);
     std::printf("batching    %d rounds, avg batch %.2f, max batch %d\n",
                 report.rounds, report.avg_batch, report.max_batch);
+    std::printf("round sims  %d simulated, %d reused from the round memo\n",
+                report.round_sims, report.round_sim_hits);
 
     std::printf("\n%-12s %10s\n", "batch size", "batches");
     for (const auto &[size, count] : report.batch_histogram) {
