@@ -241,12 +241,9 @@ report_plan_cache()
 }
 
 // ---- Shared CLI plumbing -------------------------------------------------
-// The tools (mgserve, mgtrace, mgmem, mgperf, mgcost) repeat the same
-// three rituals: comma-list parsing, resolving artifact paths against
-// --out-dir, and looking up preset/device names with unknown names
-// surfaced as ValidationError (exit 2) instead of a runtime fault. They
-// live here so every tool resolves paths and classifies bad input the
-// same way.
+// The tools repeat the same two rituals: comma-list parsing and
+// resolving artifact paths against --out-dir. They live here so every
+// tool resolves paths the same way.
 
 /// Splits "a,b,c" into {"a","b","c"}; empty items are rejected.
 inline std::vector<std::string>
@@ -269,8 +266,8 @@ split_csv(const std::string &s)
     return out;
 }
 
-/// Directory for a tool's default ("-") artifact paths: an explicit
-/// --out-dir wins; the historical "." layout honors MULTIGRAIN_BENCH_DIR.
+/// Directory a tool writes its artifacts to: an explicit --out-dir
+/// wins; the default "." honors MULTIGRAIN_BENCH_DIR.
 inline std::string
 default_artifact_dir(const std::string &out_dir)
 {
@@ -295,66 +292,6 @@ resolve_out_path(const std::string &out_dir, const std::string &path)
         return path;
     }
     return out_dir + "/" + path;
-}
-
-/// Looks up a serving preset and device by their CLI names, surfacing
-/// unknown names as ValidationError (exit 2, the convention every serve
-/// tool follows: CI probes for it). `seed` 0 keeps the preset's seed;
-/// `device` receives the resolved spec.
-inline serve::ServeConfig
-validated_serve_config(const std::string &preset,
-                       const std::string &device_name,
-                       sim::DeviceSpec *device, std::uint64_t seed = 0)
-{
-    serve::ServeConfig config;
-    try {
-        config = serve::serve_preset_by_name(preset);
-        *device = sim::device_spec_by_name(device_name);
-    } catch (const Error &e) {
-        throw ValidationError(e.what());
-    }
-    if (seed != 0) {
-        config.traffic.seed = seed;
-    }
-    return config;
-}
-
-/// The registered serving preset names, in registry order — the list the
-/// serve tools' --all and --list modes walk.
-inline std::vector<std::string>
-serve_preset_names()
-{
-    std::vector<std::string> names;
-    for (const serve::ServePresetInfo &preset : serve::serve_presets()) {
-        names.push_back(preset.name);
-    }
-    return names;
-}
-
-/// The registered cluster preset names, in registry order (mgcluster's
-/// --all and --list modes).
-inline std::vector<std::string>
-cluster_preset_names()
-{
-    std::vector<std::string> names;
-    for (const serve::ClusterPresetInfo &preset :
-         serve::cluster_presets()) {
-        names.push_back(preset.name);
-    }
-    return names;
-}
-
-/// Shared --all driver: runs `run_one(name)` over every preset name and
-/// ORs the statuses — the loop mgcost, mgtrace, and mgcluster all repeat.
-template <typename RunOne>
-inline int
-run_preset_matrix(const std::vector<std::string> &presets, RunOne &&run_one)
-{
-    int status = 0;
-    for (const std::string &name : presets) {
-        status |= run_one(name);
-    }
-    return status;
 }
 
 /// Shared matrix driver for the model × device × mode cross products
@@ -681,7 +618,7 @@ bench_presets()
         {"serve_tiny", "mgserve tiny traffic preset (serving-layer gate)",
          &detail::preset_serve_tiny},
         {"cluster_tiny",
-         "2-replica round-robin fleet of the tiny preset (mgcluster gate)",
+         "2-replica round-robin fleet of the tiny preset (fleet gate)",
          &detail::preset_cluster_tiny},
     };
     return presets;

@@ -38,7 +38,7 @@ inline constexpr int kBenchSchemaVersion = 2;
 inline constexpr const char *kRegressionSchema = "mgperf.report";
 inline constexpr int kRegressionSchemaVersion = 1;
 
-/// mgtrace's serving-trace documents (src/serve/trace.h): the
+/// The serving-trace documents mgserve writes (src/serve/trace.h): the
 /// SLO-attribution report, the event-log lines, and the flight-recorder
 /// incident dumps all tag themselves so artifacts remain
 /// self-describing when they leave the build tree.
@@ -47,11 +47,12 @@ inline constexpr int kServeTraceReportVersion = 1;
 inline constexpr const char *kServeIncidentSchema = "mgtrace.incident";
 inline constexpr int kServeIncidentVersion = 1;
 
-/// mgcost's per-tenant cost-attribution report (src/serve/cost.h).
+/// The per-tenant cost-attribution report mgserve writes
+/// (src/serve/cost.h).
 inline constexpr const char *kServeCostReportSchema = "mgcost.report";
 inline constexpr int kServeCostReportVersion = 1;
 
-/// mgcluster's fleet report (src/serve/cluster.h): per-replica serving
+/// The fleet report mgserve writes (src/serve/cluster.h): per-replica serving
 /// summaries, router counters, the merged tenant ledger, and the
 /// fleet-wide conservation verdict.
 inline constexpr const char *kClusterReportSchema = "mgcluster.report";

@@ -1,7 +1,7 @@
 #include "serve/cluster.h"
 
 #include <algorithm>
-#include <cmath>
+#include <iterator>
 #include <sstream>
 #include <tuple>
 #include <utility>
@@ -15,13 +15,6 @@ namespace multigrain::serve {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-bool
-close_rel(double a, double b)
-{
-    return std::abs(a - b) <=
-           kCostReconcileRelTol * std::max({1.0, std::abs(a), std::abs(b)});
-}
 
 /// One endpoint of a scripted fault, on the shared clock.
 struct Transition {
@@ -145,8 +138,9 @@ Cluster::Cluster(ClusterConfig config)
         << "a cluster needs at least one replica";
     MG_CHECK(config_.device_names.size() == config_.devices.size())
         << "device_names must parallel devices";
-    MG_CHECK(config_.serve.traffic.arrivals != ArrivalProcess::kClosedLoop)
-        << "closed-loop traffic is not supported fleet-wide";
+    MG_CHECK(config_.serve.traffic.arrivals != ArrivalProcess::kClosedLoop ||
+             config_.faults.empty())
+        << "closed-loop traffic needs a fault-free fleet";
     for (const ReplicaFault &f : config_.faults) {
         MG_CHECK(f.replica < config_.devices.size())
             << "fault on unknown replica " << f.replica;
@@ -173,31 +167,24 @@ Cluster::set_telemetry(std::size_t replica, TelemetryRecorder *telemetry)
     servers_[replica].set_telemetry(telemetry);
 }
 
-std::vector<ReplicaView>
-Cluster::views() const
+double
+run_serving_loop(const std::vector<Server *> &replicas, Router &router,
+                 TrafficSource &source,
+                 const std::vector<ReplicaFault> &faults)
 {
-    std::vector<ReplicaView> v;
-    v.reserve(servers_.size());
-    for (const Server &s : servers_) {
-        v.push_back({!s.down(), s.outstanding_bytes()});
+    for (Server *s : replicas) {
+        s->begin();
     }
-    return v;
-}
-
-ClusterReport
-Cluster::run()
-{
-    MG_CHECK(!ran_) << "Cluster::run may be called once";
-    ran_ = true;
-
-    const PlanCacheStats cache_before = PlanCache::instance().stats();
-    for (Server &s : servers_) {
-        s.begin();
-    }
-    TrafficSource source(config_.serve.traffic);
-    const std::vector<Transition> transitions =
-        fault_transitions(config_.faults);
+    const std::vector<Transition> transitions = fault_transitions(faults);
     std::size_t next_transition = 0;
+    std::vector<ReplicaView> views(replicas.size());
+    const auto current_views = [&]() -> const std::vector<ReplicaView> & {
+        for (std::size_t k = 0; k < replicas.size(); ++k) {
+            views[k] = {!replicas[k]->down(),
+                        replicas[k]->outstanding_bytes()};
+        }
+        return views;
+    };
 
     double now = 0;
     for (;;) {
@@ -210,17 +197,15 @@ Cluster::run()
                transitions[next_transition].t_us <= now) {
             const Transition &tr = transitions[next_transition++];
             if (tr.down) {
-                std::vector<Request> drained =
-                    servers_[tr.replica].kill(now);
-                for (Request &r : drained) {
-                    const int target = router_.reroute(r, views());
+                for (Request &r : replicas[tr.replica]->kill(now)) {
+                    const int target = router.reroute(r, current_views());
                     if (target >= 0) {
-                        servers_[static_cast<std::size_t>(target)]
-                            .reingest(std::move(r), now);
+                        replicas[static_cast<std::size_t>(target)]
+                            ->reingest(std::move(r), now);
                     }
                 }
             } else {
-                servers_[tr.replica].revive();
+                replicas[tr.replica]->revive();
             }
         }
         // Ingest every arrival due by now through the router; a fleet
@@ -228,29 +213,28 @@ Cluster::run()
         // counter (no replica ledger ever saw the request).
         while (source.peek_us() <= now) {
             Request r = source.pop();
-            const int target = router_.route(r, views());
+            const int target = router.route(r, current_views());
             if (target >= 0) {
-                servers_[static_cast<std::size_t>(target)].ingest(
+                replicas[static_cast<std::size_t>(target)]->ingest(
                     std::move(r), now);
             }
         }
-        for (Server &s : servers_) {
-            s.expire(now);
+        for (Server *s : replicas) {
+            s->expire(now);
         }
-        // Every eligible idle replica starts a round, in index order —
-        // the fleet analogue of the single-server dispatch step.
-        for (Server &s : servers_) {
-            if (s.can_dispatch()) {
-                s.dispatch(now);
+        // Every eligible idle replica starts a round, in index order.
+        for (Server *s : replicas) {
+            if (s->can_dispatch()) {
+                s->dispatch(now);
             }
         }
-        for (Server &s : servers_) {
-            s.observe(now);
+        for (Server *s : replicas) {
+            s->observe(now);
         }
 
         double next = source.peek_us();
-        for (const Server &s : servers_) {
-            next = std::min(next, s.busy_until());
+        for (const Server *s : replicas) {
+            next = std::min(next, s->busy_until());
         }
         if (next_transition < transitions.size()) {
             next = std::min(next, transitions[next_transition].t_us);
@@ -259,17 +243,35 @@ Cluster::run()
             break;
         }
         now = next;
-        for (Server &s : servers_) {
-            if (s.busy() && now >= s.busy_until()) {
-                s.complete(source);
+        for (Server *s : replicas) {
+            if (s->busy() && now >= s->busy_until()) {
+                s->complete(source);
             }
         }
     }
     MG_CHECK(source.exhausted())
-        << "cluster loop ended with arrivals pending";
-    for (const Server &s : servers_) {
-        MG_CHECK(!s.busy()) << "cluster loop ended with a round running";
+        << "serving loop ended with arrivals pending";
+    for (const Server *s : replicas) {
+        MG_CHECK(!s->busy() && !s->can_dispatch())
+            << "serving loop ended with work in the system";
     }
+    return now;
+}
+
+ClusterReport
+Cluster::run()
+{
+    MG_CHECK(!ran_) << "Cluster::run may be called once";
+    ran_ = true;
+
+    const PlanCacheStats cache_before = PlanCache::instance().stats();
+    std::vector<Server *> replicas;
+    for (Server &s : servers_) {
+        replicas.push_back(&s);
+    }
+    TrafficSource source(config_.serve.traffic);
+    const double end_us =
+        run_serving_loop(replicas, router_, source, config_.faults);
 
     // ---- Reduce the fleet ---------------------------------------------
     ClusterReport report;
@@ -280,46 +282,26 @@ Cluster::run()
     report.router = router_.stats();
     report.arrivals = static_cast<std::uint64_t>(source.issued());
     report.replicas.reserve(servers_.size());
+    std::vector<const std::vector<RequestRecord> *> records;
     for (Server &s : servers_) {
-        report.replicas.push_back(s.finish(now));
+        report.replicas.push_back(s.finish(end_us));
     }
-
-    std::vector<double> latencies;
-    std::vector<double> by_class[kNumSloClasses];
-    double first_arrival = kInf;
-    double last_finish = 0;
     for (const ServeReport &rep : report.replicas) {
-        report.completed += rep.completed;
-        report.deadline_miss += rep.deadline_miss;
         report.rejected += rep.admission.rejected;
         report.timed_out += rep.admission.timed_out;
         report.lost_in_flight += rep.lost_in_flight;
         report.rounds += rep.rounds;
         report.busy_us += rep.busy_us;
-        for (const RequestRecord &rec : rep.records) {
-            if (rec.outcome != RequestRecord::Outcome::kCompleted) {
-                continue;
-            }
-            latencies.push_back(rec.latency_us());
-            by_class[static_cast<int>(rec.request.slo)].push_back(
-                rec.latency_us());
-            first_arrival =
-                std::min(first_arrival, rec.request.arrival_us);
-            last_finish = std::max(last_finish, rec.finish_us);
-        }
+        records.push_back(&rep.records);
     }
-    report.latency = prof::summarize_latencies(std::move(latencies));
-    for (int c = 0; c < kNumSloClasses; ++c) {
-        report.latency_by_class[c] =
-            prof::summarize_latencies(std::move(by_class[c]));
-    }
-    if (report.completed > 0) {
-        report.makespan_us = last_finish - first_arrival;
-    }
-    if (report.makespan_us > 0) {
-        report.throughput_rps = static_cast<double>(report.completed) /
-                                (report.makespan_us / 1e6);
-    }
+    const CompletedSummary done = summarize_completed(records);
+    report.completed = done.completed;
+    report.deadline_miss = done.deadline_miss;
+    report.latency = done.latency;
+    std::copy(std::begin(done.latency_by_class),
+              std::end(done.latency_by_class), report.latency_by_class);
+    report.makespan_us = done.makespan_us;
+    report.throughput_rps = done.throughput_rps;
     report.replica_util.reserve(report.replicas.size());
     double util_min = kInf;
     double util_max = 0;

@@ -13,18 +13,19 @@
 #include "serve/router.h"
 #include "serve/server.h"
 
-/// mgcluster: scale-out serving across simulated devices (ISSUE 9).
+/// Scale-out serving across simulated devices, and the one
+/// serving event loop.
 ///
 /// A Cluster drives N data-parallel replicas — each an ordinary Server
 /// over its own GpuSim/DeviceSpec, heterogeneous fleets allowed — on
 /// one shared virtual clock, behind a Router that places every arrival
-/// (serve/router.h). The cluster loop is the single-server event loop
-/// lifted fleet-wide: at each timestamp it applies due fault
-/// transitions, ingests due arrivals through the router, expires every
-/// queue, dispatches every eligible idle replica in index order, then
-/// advances the clock to the next arrival / round completion / fault.
-/// The whole fleet run is a pure function of (preset, seed, devices,
-/// policy), exactly like a single-server run.
+/// (serve/router.h). run_serving_loop is the only serving event loop:
+/// at each timestamp it applies due fault transitions, ingests due
+/// arrivals through the router, expires every queue, dispatches every
+/// eligible idle replica in index order, then advances the clock to the
+/// next arrival / round completion / fault. Server::run is the same loop
+/// over a fleet of one. The whole fleet run is a pure function of
+/// (preset, seed, devices, policy).
 ///
 /// Failover is scripted on the same clock: a ReplicaFault kills its
 /// replica at down_us — the running round is truncated and its
@@ -34,7 +35,7 @@
 /// through the move: per replica, offered == terminal outcomes +
 /// drained; fleet-wide, arrivals == terminal outcomes + failover
 /// sheds, with the router's exact counters closing the telescope.
-/// reconcile_cluster() re-derives all of it and mgcluster turns any
+/// reconcile_cluster() re-derives all of it and mgserve turns any
 /// disagreement into a ValidationError (exit 2).
 namespace multigrain::serve {
 
@@ -51,8 +52,8 @@ struct ClusterConfig {
     std::string preset = "custom";
     /// The per-replica serving configuration (admission, scheduler,
     /// mode) and the *fleet* arrival stream — one TrafficSource feeds
-    /// the router, not N sources. Closed-loop traffic is not supported
-    /// (a fleet-wide outage would deadlock the completion feedback).
+    /// the router, not N sources. Closed-loop traffic needs a fault-free
+    /// fleet (an outage would break the completion feedback).
     ServeConfig serve;
     /// One device per replica; heterogeneous fleets allowed.
     std::vector<sim::DeviceSpec> devices;
@@ -118,6 +119,15 @@ struct ClusterReport {
 
 class TraceLog;  // serve/trace.h
 
+/// The serving event loop: begins every replica, then drives them on one
+/// virtual clock until the source is exhausted and every replica is
+/// idle, placing arrivals (and a killed replica's drained backlog)
+/// through `router` and applying `faults` on schedule. Returns the clock
+/// at which the loop ended, the time each replica's finish() takes.
+double run_serving_loop(const std::vector<Server *> &replicas,
+                        Router &router, TrafficSource &source,
+                        const std::vector<ReplicaFault> &faults);
+
 class Cluster {
   public:
     explicit Cluster(ClusterConfig config);
@@ -133,8 +143,6 @@ class Cluster {
     ClusterReport run();
 
   private:
-    std::vector<ReplicaView> views() const;
-
     ClusterConfig config_;
     std::vector<Server> servers_;
     Router router_;
@@ -157,7 +165,7 @@ CostReport merge_replica_costs(const std::vector<ServeReport> &replicas);
 std::vector<std::string> reconcile_cluster(const ClusterReport &report);
 
 /// Adds `offset` to the report's rerouted counter — the seeded
-/// corruption mgcluster's --perturb-counter flag and the tests use to
+/// corruption mgserve's --perturb-counter flag and the tests use to
 /// prove the fleet conservation gate fails closed. (Ledger corruption
 /// goes through scale_tenant_charges on report.cost.)
 void perturb_router_counter(ClusterReport &report, std::int64_t offset);

@@ -12,17 +12,6 @@
 
 namespace multigrain::serve {
 
-namespace {
-
-bool
-close_rel(double a, double b)
-{
-    return std::abs(a - b) <=
-           kCostReconcileRelTol * std::max({1.0, std::abs(a), std::abs(b)});
-}
-
-}  // namespace
-
 // ---- TenantLedger -------------------------------------------------------
 
 TenantLedger::TenantLedger(const std::vector<TenantSpec> &tenants)

@@ -1,6 +1,8 @@
 #ifndef MULTIGRAIN_SERVE_COST_H_
 #define MULTIGRAIN_SERVE_COST_H_
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
@@ -13,10 +15,10 @@
 #include "serve/admission.h"
 #include "serve/traffic.h"
 
-/// mgcost: per-tenant cost attribution + time-series telemetry for the
+/// Per-tenant cost attribution + time-series telemetry for the
 /// serving layer (ISSUE 8).
 ///
-/// mgtrace answers *where one request's time went*; this layer answers
+/// Tracing answers *where one request's time went*; this layer answers
 /// *who spent the device*. The TenantLedger splits every dispatched
 /// round's device-busy span down to its batches (pro-rata by each
 /// batch's own span, so concurrent batches share the round they
@@ -32,8 +34,8 @@
 /// The load-bearing property is *conservation*: per-tenant charged
 /// device time telescopes back to ServeReport::busy_us by construction,
 /// and reconcile_cost() re-derives every figure it can from the
-/// ServeReport and collects any disagreement — mgcost turns a non-empty
-/// error list into a ValidationError (exit 2), exactly like mgtrace.
+/// ServeReport and collects any disagreement — mgserve turns a non-empty
+/// error list into a ValidationError (exit 2), like a trace mismatch.
 ///
 /// The TelemetryRecorder is the time-series half: a fixed-interval
 /// sampler on the virtual serving clock (per-tenant queue depth,
@@ -77,7 +79,7 @@ struct CostCell {
 };
 
 /// Accumulates `cell` into `into`, field by field — how tenant totals
-/// telescope from class cells, and how mgcluster merges per-replica
+/// telescope from class cells, and how a cluster merges per-replica
 /// ledgers into the fleet ledger.
 void add_cell(CostCell &into, const CostCell &cell);
 
@@ -175,10 +177,20 @@ class TenantLedger {
 
 struct ServeReport;  // serve/server.h
 
-/// Relative tolerance for the conservation gate: per-tenant charges are
-/// the same doubles busy_us was summed from, in a different order, so
-/// the slack only absorbs summation rounding (mirrors kReconcileRelTol).
-inline constexpr double kCostReconcileRelTol = 1e-9;
+/// Relative tolerance of every serving reconciliation (trace spans, the
+/// cost ledger, fleet conservation): both sides are doubles computed
+/// from the same figures in a different order, so the slack only
+/// absorbs summation rounding.
+inline constexpr double kReconcileRelTol = 1e-9;
+
+/// True when a and b agree within kReconcileRelTol of the larger of
+/// 1, |a| and |b|.
+inline bool
+close_rel(double a, double b)
+{
+    return std::abs(a - b) <=
+           kReconcileRelTol * std::max({1.0, std::abs(a), std::abs(b)});
+}
 
 /// Cross-checks the ledger against the ServeReport of the same run:
 /// charged device time sums to busy_us, every counter matches its
@@ -204,7 +216,7 @@ struct CostRunInfo {
 };
 
 /// Writes one cost cell's fields into an open JSON object — shared by
-/// the mgcost document below and mgcluster's merged fleet ledger.
+/// the mgcost document below and the mgcluster fleet ledger.
 void write_cost_cell(JsonWriter &w, const CostCell &cell, double busy_us);
 
 /// The validated "mgcost.report" v1 JSON document. The two-argument

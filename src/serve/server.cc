@@ -1,11 +1,13 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <utility>
 
 #include "common/error.h"
+#include "serve/cluster.h"
 #include "serve/trace.h"
 #include "transformer/config.h"
 #include "transformer/workload.h"
@@ -731,39 +733,20 @@ Server::finish(double now_us)
         stats_delta(cache_before_, PlanCache::instance().stats());
     report.cost = ledger_->finish(busy_accum_us_);
 
-    std::vector<double> latencies;
-    latencies.reserve(report.records.size());
-    std::vector<double> by_class[kNumSloClasses];
-    double first_arrival = kInf;
-    double last_finish = 0;
-    for (const RequestRecord &rec : report.records) {
-        if (rec.outcome == RequestRecord::Outcome::kLostReplica) {
-            ++report.lost_in_flight;
-        }
-        if (rec.outcome != RequestRecord::Outcome::kCompleted) {
-            continue;
-        }
-        ++report.completed;
-        if (!rec.deadline_met) {
-            ++report.deadline_miss;
-        }
-        latencies.push_back(rec.latency_us());
-        by_class[static_cast<int>(rec.request.slo)].push_back(
-            rec.latency_us());
-        first_arrival = std::min(first_arrival, rec.request.arrival_us);
-        last_finish = std::max(last_finish, rec.finish_us);
-    }
-    report.latency = prof::summarize_latencies(std::move(latencies));
-    for (int c = 0; c < kNumSloClasses; ++c) {
-        report.latency_by_class[c] =
-            prof::summarize_latencies(std::move(by_class[c]));
-    }
-    if (report.completed > 0) {
-        report.makespan_us = last_finish - first_arrival;
-    }
+    const CompletedSummary done = summarize_completed({&report.records});
+    report.completed = done.completed;
+    report.deadline_miss = done.deadline_miss;
+    report.latency = done.latency;
+    std::copy(std::begin(done.latency_by_class),
+              std::end(done.latency_by_class), report.latency_by_class);
+    report.makespan_us = done.makespan_us;
+    report.throughput_rps = done.throughput_rps;
+    report.lost_in_flight = static_cast<std::uint64_t>(std::count_if(
+        report.records.begin(), report.records.end(),
+        [](const RequestRecord &rec) {
+            return rec.outcome == RequestRecord::Outcome::kLostReplica;
+        }));
     if (report.makespan_us > 0) {
-        report.throughput_rps = static_cast<double>(report.completed) /
-                                (report.makespan_us / 1e6);
         report.gpu_util =
             std::min(1.0, report.busy_us / report.makespan_us);
     }
@@ -786,39 +769,51 @@ Server::run()
 {
     MG_CHECK(!ran_) << "Server::run may be called once";
     ran_ = true;
-    begin();
+    // A standalone server is a fleet of one: the loop Cluster::run
+    // drives, behind a router with one replica to send work to.
+    Router router(RoutePolicy::kRoundRobin, 1, config_.traffic.seed);
     TrafficSource source(config_.traffic);
+    return finish(run_serving_loop({this}, router, source, {}));
+}
 
-    double now = 0;
-    for (;;) {
-        // Ingest every arrival due by now; shed what the queue refuses.
-        while (source.peek_us() <= now) {
-            ingest(source.pop(), now);
-        }
-        expire(now);
-
-        if (can_dispatch()) {
-            dispatch(now);
-            observe(now);
-            continue;
-        }
-        observe(now);
-
-        double next = source.peek_us();
-        if (gpu_busy_) {
-            next = std::min(next, gpu_free_us_);
-        }
-        if (next == kInf) {
-            break;
-        }
-        now = next;
-        if (gpu_busy_ && now >= gpu_free_us_) {
-            complete(source);
+CompletedSummary
+summarize_completed(
+    const std::vector<const std::vector<RequestRecord> *> &parts)
+{
+    CompletedSummary out;
+    std::vector<double> latencies;
+    std::vector<double> by_class[kNumSloClasses];
+    double first_arrival = kInf;
+    double last_finish = 0;
+    for (const std::vector<RequestRecord> *records : parts) {
+        for (const RequestRecord &rec : *records) {
+            if (rec.outcome != RequestRecord::Outcome::kCompleted) {
+                continue;
+            }
+            ++out.completed;
+            if (!rec.deadline_met) {
+                ++out.deadline_miss;
+            }
+            latencies.push_back(rec.latency_us());
+            by_class[static_cast<int>(rec.request.slo)].push_back(
+                rec.latency_us());
+            first_arrival = std::min(first_arrival, rec.request.arrival_us);
+            last_finish = std::max(last_finish, rec.finish_us);
         }
     }
-    MG_CHECK(source.exhausted() && queue_->empty() && !gpu_busy_)
-        << "serving loop ended with work in the system";
-    return finish(now);
+    out.latency = prof::summarize_latencies(std::move(latencies));
+    for (int c = 0; c < kNumSloClasses; ++c) {
+        out.latency_by_class[c] =
+            prof::summarize_latencies(std::move(by_class[c]));
+    }
+    if (out.completed > 0) {
+        out.makespan_us = last_finish - first_arrival;
+    }
+    if (out.makespan_us > 0) {
+        out.throughput_rps = static_cast<double>(out.completed) /
+                             (out.makespan_us / 1e6);
+    }
+    return out;
 }
 
 // ---- Metric registry + bench rows ---------------------------------------

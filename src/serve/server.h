@@ -122,7 +122,7 @@ struct ServeReport {
     std::vector<std::uint64_t> round_hbm_bytes;
     std::uint64_t peak_round_hbm_bytes = 0;
     /// Per-tenant cost attribution (serve/cost.h): every run carries its
-    /// ledger so bench rows and mgcost read the same numbers.
+    /// ledger so bench rows and the mgcost report read the same numbers.
     CostReport cost;
 };
 
@@ -147,19 +147,20 @@ class Server {
         telemetry_ = telemetry;
     }
 
-    /// Runs the preset to completion. May be called once.
+    /// Runs the preset to completion as a fleet of one: the serving loop
+    /// (run_serving_loop, serve/cluster.h) behind a one-replica router.
+    /// May be called once.
     ServeReport run();
 
     // ---- Step-wise driving (ISSUE 9) --------------------------------
-    // run() is a thin driver over the methods below, calling them in a
-    // fixed per-event order; mgcluster drives N replicas' servers on one
-    // shared virtual clock in the same order, which is why a replica's
-    // serving behavior inside a cluster matches a standalone run of the
-    // same event stream operation for operation.
+    // The serving loop drives every replica through the methods below in
+    // a fixed per-event order on one shared virtual clock, so a
+    // standalone run and a replica inside a cluster execute the same
+    // operations in the same order.
 
     /// Builds the queue/ledger/scheduler and snapshots the plan cache.
-    /// Must be called once before any other stepping method (run() calls
-    /// it itself).
+    /// Must be called once before any other stepping method (the serving
+    /// loop calls it).
     void begin();
     /// One arrival at `now_us`: stamps the preset's slice mode, prices
     /// the footprint when a byte budget is configured, offers it to
@@ -272,6 +273,23 @@ class Server {
     bool gpu_busy_ = false;
     bool ran_ = false;
 };
+
+/// The completed-request reduction a replica's report and the fleet
+/// report share: latency percentiles overall and per SLO class, first
+/// arrival to last completion, and completions per second over that
+/// window. `parts` are walked in order, so one replica's records reduce
+/// exactly as they do inside a fleet.
+struct CompletedSummary {
+    std::uint64_t completed = 0;
+    std::uint64_t deadline_miss = 0;
+    prof::LatencySummary latency;
+    prof::LatencySummary latency_by_class[kNumSloClasses];
+    double makespan_us = 0;
+    double throughput_rps = 0;
+};
+
+CompletedSummary summarize_completed(
+    const std::vector<const std::vector<RequestRecord> *> &parts);
 
 /// One registered serving metric over a finished report — how the CLI
 /// table, the bench rows, and the tests enumerate the summary without

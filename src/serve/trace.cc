@@ -612,13 +612,6 @@ breakdown_mean(const std::vector<const RequestSpans *> &spans)
     return b;
 }
 
-bool
-close_rel(double a, double b)
-{
-    return std::abs(a - b) <=
-           kReconcileRelTol * std::max({1.0, std::abs(a), std::abs(b)});
-}
-
 void
 write_breakdown(JsonWriter &w, const char *key, const SpanBreakdown &b)
 {
@@ -1081,7 +1074,7 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
         }
     }
 
-    // ---- mgcost time-series counter tracks ----------------------------
+    // ---- Telemetry time-series counter tracks ------------------------
     // Fixed-interval samples from the TelemetryRecorder, prefixed
     // "tele." so they sit beside — not inside — the event-edge counters
     // above (the events fire at state changes, the samples on a grid).

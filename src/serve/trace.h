@@ -12,9 +12,9 @@
 #include "serve/server.h"
 #include "serve/traffic.h"
 
-/// mgtrace: end-to-end request tracing for the serving layer (ISSUE 6).
+/// End-to-end request tracing for the serving layer.
 ///
-/// mgserve's ServeReport says *how bad* the tail is; this layer says
+/// The ServeReport says *how bad* the tail is; this layer says
 /// *where the time went*. When tracing is enabled, the Server emits one
 /// structured TraceEvent at every state transition a request goes
 /// through — arrival, admission decision, batch formation, round
@@ -31,7 +31,7 @@
 ///    percentiles into queue / batch-wait / pad / device components and
 ///    reconciles every derived number against the ServeReport the same
 ///    run produced — a disagreement means the instrumentation lies and
-///    is reported as a validation failure (mgtrace exits 2);
+///    is reported as a validation failure (mgserve exits 2);
 ///  * TraceLog's flight recorder keeps a bounded ring of the last N
 ///    rounds of events and, on an anomaly trigger (shed burst,
 ///    deadline-miss streak, empty-round stall), freezes it into a
@@ -105,7 +105,8 @@ std::vector<TraceEvent> events_from_jsonl(const std::string &text);
 // ---- The log + flight recorder ------------------------------------------
 
 struct TraceConfig {
-    /// Keep the complete event log in memory (what mgtrace reads).
+    /// Keep the complete event log in memory (what the attribution
+    /// report and the event-log export read).
     /// false = flight-recorder-only: memory stays bounded by the ring.
     bool retain_full = true;
     /// Capture each round's gpusim SimResult for the Perfetto overlay.
@@ -280,11 +281,6 @@ struct ClassAttribution {
     SpanBreakdown p99;
 };
 
-/// Relative tolerance for reconciling trace-derived latencies against
-/// ServeReport figures (both are doubles computed by the same formulas;
-/// the slack only absorbs summation-order rounding).
-inline constexpr double kReconcileRelTol = 1e-9;
-
 struct TraceReport {
     TraceRunInfo info;
     std::size_t events = 0;
@@ -300,7 +296,7 @@ struct TraceReport {
     /// windows live in the separate incident documents).
     std::vector<Incident> incidents;
     /// Empty iff every span chains exactly and every derived figure
-    /// matches the ServeReport. mgtrace turns a non-empty list into a
+    /// matches the ServeReport. mgserve turns a non-empty list into a
     /// ValidationError (exit 2).
     std::vector<std::string> reconcile_errors;
 
@@ -330,7 +326,7 @@ struct ServeTraceOptions {
     /// Overlay each captured round's kernel replay (needs a TraceLog
     /// built with capture_sim).
     bool device_lanes = true;
-    /// When set, the mgcost time-series samples are rendered as extra
+    /// When set, the telemetry time-series samples are rendered as extra
     /// counter tracks ("tele.*": per-tenant queue depth and bucket fill,
     /// in-flight requests, round HBM watermark) beside the event-derived
     /// lanes above. Must outlive the export call.

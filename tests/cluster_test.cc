@@ -1,13 +1,15 @@
-// Tests for mgcluster, the scale-out serving layer (ISSUE 9): seeded
-// router policies (round-robin rotation, least-bytes placement,
-// sticky tenant-affinity pins), burst-aware WFQ dequeue in admission,
-// fleet-wide request conservation across scripted failover, same-seed
+// Tests for the scale-out serving layer: seeded router
+// policies (round-robin rotation, least-bytes placement, sticky
+// tenant-affinity pins), burst-aware WFQ dequeue in admission,
+// fleet-wide request conservation across scripted failover, a
+// standalone Server matching a fleet of one on every preset, same-seed
 // byte-identical fleet reports, the tenant-affinity plan-cache
 // advantage on a heterogeneous fleet, and the conservation gate's
 // fail-closed self-tests.
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "serve/cost.h"
 #include "serve/router.h"
 #include "serve/server.h"
+#include "serve/trace.h"
 #include "serve/traffic.h"
 
 namespace multigrain {
@@ -250,33 +253,115 @@ TEST(ClusterTest, FailoverReroutesBacklogAndRecordsLostWork)
               terminal + report.router.failover_sheds());
 }
 
-TEST(ClusterTest, SingleReplicaFleetMatchesStandaloneServer)
+bool
+same_record(const serve::RequestRecord &a, const serve::RequestRecord &b)
 {
-    // One replica behind the router sees the exact event stream a
-    // standalone Server sees — the cluster loop is the server loop
-    // lifted, so every timing figure must agree.
-    serve::ClusterConfig config;
-    config.preset = "tiny";
-    config.serve = serve::serve_preset_by_name("tiny");
-    config.devices = {sim::DeviceSpec::a100()};
-    config.device_names = {"a100"};
-    serve::Cluster cluster(std::move(config));
-    const serve::ClusterReport fleet = cluster.run();
-    PlanCache::instance().clear();
+    const serve::Request &x = a.request;
+    const serve::Request &y = b.request;
+    return x.id == y.id && x.tenant == y.tenant && x.model == y.model &&
+           x.mode == y.mode && x.valid_len == y.valid_len &&
+           x.arrival_us == y.arrival_us && x.slo == y.slo &&
+           x.deadline_us == y.deadline_us &&
+           x.footprint_bytes == y.footprint_bytes &&
+           a.outcome == b.outcome && a.dispatch_us == b.dispatch_us &&
+           a.finish_us == b.finish_us && a.bucket == b.bucket &&
+           a.batch_size == b.batch_size &&
+           a.deadline_met == b.deadline_met;
+}
 
-    serve::Server server(serve::serve_preset_by_name("tiny"),
-                         sim::DeviceSpec::a100());
-    const serve::ServeReport solo = server.run();
+/// Everything a single-replica run produces that the observers and the
+/// reports read.
+struct ObservedRun {
+    serve::ServeReport report;
+    std::string events;
+    std::string telemetry;
+};
 
-    ASSERT_EQ(fleet.replicas.size(), 1u);
-    const serve::ServeReport &rep = fleet.replicas[0];
-    EXPECT_EQ(rep.completed, solo.completed);
-    EXPECT_EQ(rep.rounds, solo.rounds);
-    EXPECT_DOUBLE_EQ(rep.busy_us, solo.busy_us);
-    EXPECT_DOUBLE_EQ(rep.latency.p99, solo.latency.p99);
-    EXPECT_DOUBLE_EQ(rep.makespan_us, solo.makespan_us);
-    EXPECT_EQ(rep.admission.offered, solo.admission.offered);
-    EXPECT_EQ(rep.batch_histogram, solo.batch_histogram);
+TEST(ClusterTest, SingleReplicaFleetMatchesServerOnEveryPreset)
+{
+    // A standalone Server is a fleet of one: behind a one-replica router
+    // it sees the exact event stream a one-replica Cluster sees, so the
+    // records, the event log, the telemetry samples and the plan-cache
+    // traffic must agree byte for byte on every preset — closed-loop
+    // traffic included, which a fault-free fleet accepts.
+    for (const std::string device_name : {"a100", "rtx3090"}) {
+        const sim::DeviceSpec device =
+            sim::device_spec_by_name(device_name);
+        for (const serve::ServePresetInfo &preset : serve::serve_presets()) {
+            const serve::ServeConfig config =
+                serve::serve_preset_by_name(preset.name);
+            std::vector<std::string> tenants;
+            for (const serve::TenantSpec &t : config.traffic.tenants) {
+                tenants.push_back(t.name);
+            }
+            const auto observed = [&](auto &&run) {
+                PlanCache::instance().clear();  // Same cold start.
+                serve::TraceLog log;
+                serve::TelemetryRecorder telemetry({}, tenants);
+                ObservedRun out;
+                out.report = run(log, telemetry);
+                std::ostringstream os;
+                serve::write_events_jsonl(log.events(), os);
+                out.events = os.str();
+                out.telemetry = serve::telemetry_csv(telemetry);
+                return out;
+            };
+
+            serve::ClusterReport fleet;
+            const ObservedRun solo = observed(
+                [&](serve::TraceLog &log, serve::TelemetryRecorder &tele) {
+                    serve::Server server(config, device);
+                    server.set_trace(&log);
+                    server.set_telemetry(&tele);
+                    return server.run();
+                });
+            const ObservedRun one = observed(
+                [&](serve::TraceLog &log, serve::TelemetryRecorder &tele) {
+                    serve::ClusterConfig c;
+                    c.preset = preset.name;
+                    c.serve = config;
+                    c.devices = {device};
+                    c.device_names = {device_name};
+                    c.router_seed = config.traffic.seed;
+                    serve::Cluster cluster(std::move(c));
+                    cluster.set_trace(0, &log);
+                    cluster.set_telemetry(0, &tele);
+                    fleet = cluster.run();
+                    return fleet.replicas.at(0);
+                });
+            PlanCache::instance().clear();
+
+            const std::string where =
+                std::string(preset.name) + "@" + device_name;
+            const serve::ServeReport &a = solo.report;
+            const serve::ServeReport &b = one.report;
+            ASSERT_EQ(a.records.size(), b.records.size()) << where;
+            for (std::size_t i = 0; i < a.records.size(); ++i) {
+                EXPECT_TRUE(same_record(a.records[i], b.records[i]))
+                    << where << ": record " << i;
+            }
+            EXPECT_EQ(solo.events, one.events) << where;
+            EXPECT_FALSE(solo.events.empty()) << where;
+            EXPECT_EQ(solo.telemetry, one.telemetry) << where;
+            EXPECT_EQ(a.plan_cache.hits, b.plan_cache.hits) << where;
+            EXPECT_EQ(a.plan_cache.misses, b.plan_cache.misses) << where;
+            const std::vector<std::string> errors =
+                serve::reconcile_cluster(fleet);
+            EXPECT_TRUE(errors.empty())
+                << where << ": " << (errors.empty() ? "" : errors.front());
+        }
+    }
+}
+
+TEST(ClusterTest, ClosedLoopFleetWithAFaultIsRejected)
+{
+    // Closed-loop clients wait on completions; an outage would break
+    // that feedback, so a fleet with a scripted fault refuses it.
+    serve::ClusterConfig config =
+        serve::cluster_preset_by_name("failover", "a100");
+    config.serve.traffic = serve::serve_preset_by_name("closed").traffic;
+    ASSERT_FALSE(config.faults.empty());
+    EXPECT_THROW(serve::Cluster{std::move(config)}, Error);
 }
 
 // ---- Determinism --------------------------------------------------------

@@ -1,4 +1,4 @@
-// Tests for mgcost (ISSUE 8): per-tenant cost attribution and its
+// Tests for the serving cost ledger: per-tenant cost attribution and its
 // conservation gate (the ledger must telescope back to busy_us on every
 // preset x device, and a seeded corruption must fail reconciliation),
 // token-bucket rate limiting (refill units, burst cap, the disjoint
@@ -64,7 +64,7 @@ TEST(CostLedgerTest, ConservesBusyTimeOnEveryPresetAndDevice)
                 charged += t.total.device_us();
             }
             EXPECT_NEAR(charged, report.busy_us,
-                        kCostReconcileRelTol *
+                        kReconcileRelTol *
                             std::max(1.0, report.busy_us));
             EXPECT_DOUBLE_EQ(cost.busy_us, report.busy_us);
             EXPECT_EQ(cost.rounds, report.rounds);
@@ -77,7 +77,7 @@ TEST(CostLedgerTest, SeededMismatchFailsReconciliation)
     ServeReport report = run_preset("tiny", "a100");
     ASSERT_TRUE(reconcile_cost(report.cost, report).empty());
     ASSERT_FALSE(report.cost.tenants.empty());
-    // The same corruption mgcost --perturb-ledger seeds: the gate must
+    // The same corruption mgserve --perturb-ledger seeds: the gate must
     // fail closed, not absorb it.
     scale_tenant_charges(report.cost, 0, 1.5);
     EXPECT_FALSE(reconcile_cost(report.cost, report).empty());

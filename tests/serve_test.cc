@@ -365,7 +365,7 @@ TEST(AdmissionTest, EndToEndCountersSumToArrivals)
     // Under the overload preset every arrival must be accounted for:
     // completed + rejected + timed_out + still-in-flight == offered, and
     // offered == the number of synthetic arrivals. A leak here would
-    // corrupt the mgtrace span census silently.
+    // corrupt the trace span census silently.
     serve::ServeConfig config = serve::serve_preset_by_name("overload");
     const sim::DeviceSpec device = sim::device_spec_by_name("a100");
     serve::Server server(config, device);

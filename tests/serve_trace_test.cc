@@ -1,4 +1,4 @@
-// Tests for mgtrace (ISSUE 6): span reconstruction and reconciliation
+// Tests for serving request tracing: span reconstruction and reconciliation
 // against ServeReport across every preset x device, byte-identical
 // same-seed event logs, zero-perturbation of untraced runs, the anomaly
 // flight recorder (triggers, ring bounds, incident JSON round-trip and
