@@ -294,26 +294,6 @@ resolve_out_path(const std::string &out_dir, const std::string &path)
     return out_dir + "/" + path;
 }
 
-/// Shared matrix driver for the model × device × mode cross products
-/// (mgmem's planning sweep): runs `body(model, device, mode)` for every
-/// combination and clears the process-wide PlanCache after each combo so
-/// one-shot plans don't accumulate across the full matrix.
-template <typename Body>
-inline void
-for_each_combo(const std::vector<std::string> &models,
-               const std::vector<std::string> &devices,
-               const std::vector<std::string> &modes, Body &&body)
-{
-    for (const std::string &model : models) {
-        for (const std::string &device : devices) {
-            for (const std::string &mode : modes) {
-                body(model, device, mode);
-                PlanCache::instance().clear();
-            }
-        }
-    }
-}
-
 // ---- Bench-preset registry (the mgperf gate's workload table) -----------
 
 /// One registered preset: a deterministic in-process benchmark whose rows

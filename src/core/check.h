@@ -9,9 +9,9 @@
 #include "core/launch_graph.h"
 #include "core/memplan.h"
 
-/// mgcheck: a plan-level abstract interpreter over the LaunchGraph IR.
+/// A plan-level abstract interpreter over the LaunchGraph IR.
 ///
-/// mglint (core/lint.h) proves a captured plan is race-free and the
+/// The hazard analysis (core/lint.h) proves a captured plan is race-free and the
 /// memory planner (core/memplan.h) pools dead intermediates into an
 /// arena, but neither proves the plan is *well-defined*: a kernel can
 /// read a buffer no ordered predecessor ever wrote, an accumulator can
@@ -46,7 +46,7 @@
 ///    access of the other), so a planner bug can never silently corrupt
 ///    replay.
 ///
-/// Every definedness finding carries the same witness chains mglint
+/// Every definedness finding carries the same witness chains lint
 /// hazards carry: a concrete dependency chain to each endpoint proving
 /// the offending schedule is reachable.
 namespace multigrain {

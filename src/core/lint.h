@@ -13,7 +13,8 @@
 #include "gpusim/device.h"
 #include "gpusim/launch.h"
 
-/// mglint: plan-level static analysis over the LaunchGraph IR.
+/// Plan-level static analysis over the LaunchGraph IR (mgcheck runs it
+/// over every preset plan).
 ///
 /// The paper's whole argument rests on correctly overlapping fine- and
 /// coarse-grained kernels on independent streams (§3.2), and the capture/
@@ -137,7 +138,7 @@ struct LintReport {
     std::vector<LintFinding> findings;
 
     std::size_t count(LintSeverity severity) const;
-    /// Number of RAW/WAR/WAW findings — the gate mglint and capture
+    /// Number of RAW/WAR/WAW findings — the gate mgcheck and capture
     /// enforcement fail on.
     std::size_t hazards() const;
     bool clean() const { return hazards() == 0; }

@@ -14,8 +14,8 @@
 /// Static memory planner over the LaunchGraph IR.
 ///
 /// A captured plan is a pure data structure, so its device-memory
-/// footprint is decidable at capture time, the same way mglint decides
-/// its races: every kernel's annotated reads/writes/accums now carry
+/// footprint is decidable at capture time, the same way core/lint.h
+/// decides its races: every kernel's annotated reads/writes/accums now carry
 /// byte sizes (sim::SizedBuffer), and the happens-before relation the
 /// hazard analysis already builds gives each buffer a live range. Two
 /// plan-local intermediates whose live ranges cannot overlap under any
@@ -66,7 +66,7 @@ struct MemPlanBuffer {
 };
 
 /// The planner's result: a deterministic arena layout plus the footprint
-/// ledger mgmem / mgprof / the byte-budget serving scheduler read.
+/// ledger mgcheck / mgprof / the byte-budget serving scheduler read.
 struct MemPlan {
     /// Deterministic order: ascending first_use, ties by name.
     std::vector<MemPlanBuffer> buffers;
@@ -109,7 +109,7 @@ MemPlan plan_memory(const LaunchGraph &graph);
 /// Independently re-derives interference from `graph` and checks that no
 /// two live-overlapping pooled buffers in `plan` alias, that offsets are
 /// aligned, and that the arena high-water mark is consistent. Throws
-/// MemPlanError on any violation (mgmem exits 2 on it).
+/// MemPlanError on any violation (mgcheck exits 2 on it).
 void validate_memplan(const LaunchGraph &graph, const MemPlan &plan);
 
 /// Cached planner: stores the validated MemPlan in the process-wide

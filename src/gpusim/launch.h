@@ -60,7 +60,7 @@ struct TbGroup {
     index_t count = 1;
 };
 
-// ---- Dataflow annotations (the mglint hazard model's vocabulary) --------
+// ---- Dataflow annotations (the lint hazard model's vocabulary) ----------
 
 /// Interned handle for a logical tensor a kernel touches ("q", "%s.fine",
 /// "dv", ...). The table is process-wide and append-only; ids are stable

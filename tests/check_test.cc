@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include "plan_units.h"
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "core/attention.h"
@@ -521,6 +523,45 @@ TEST(CheckSpecificity, ShippedPlansAreClean)
             *runner.layer_graph(device,
                                 TransformerRunner::LayerKind::kTrainBackward));
         PlanCache::instance().clear();
+    }
+}
+
+// Every plan unit mgcheck proves (tools/plan_units.h) passes the CLI's
+// whole gate: no hazard, every kernel name carves into a profiler phase,
+// a valid memory plan that pools, and a clean check on that plan.
+TEST(CheckSpecificity, EveryPlanUnitPassesLintMemoryAndCheck)
+{
+    for (const char *device_name : {"a100", "rtx3090"}) {
+        const sim::DeviceSpec device = sim::device_spec_by_name(device_name);
+        for (const char *mode :
+             {"multigrain", "coarse-only", "fine-only", "dense"}) {
+            int units = 0;
+            tools::for_each_plan_unit(
+                2022, "tiny", device_name, mode,
+                [&](const std::string &unit, const LaunchGraph &graph) {
+                    ++units;
+                    const std::string what =
+                        std::string(device_name) + "/" + mode + "/" + unit;
+                    LintOptions lopt;
+                    lopt.device = &device;
+                    const LintReport lint = lint_graph(graph, lopt);
+                    EXPECT_EQ(lint.hazards(), 0u) << what;
+                    for (const LintFinding &f : lint.findings) {
+                        EXPECT_NE(f.kind, LintKind::kPhaseName)
+                            << what << ": " << f.message;
+                    }
+                    const MemPlan plan = plan_memory(graph);
+                    EXPECT_NO_THROW(validate_memplan(graph, plan)) << what;
+                    EXPECT_GT(plan.pooling_savings(), 0.0) << what;
+                    CheckOptions copt;
+                    copt.memplan = &plan;
+                    const CheckReport check = check_graph(graph, copt);
+                    EXPECT_TRUE(check.clean())
+                        << what << ": " << check.summary();
+                });
+            EXPECT_EQ(units, 8) << device_name << "/" << mode;
+            PlanCache::instance().clear();
+        }
     }
 }
 

@@ -1,4 +1,4 @@
-// mglint analyzer tests. The load-bearing pair of properties:
+// Hazard analyzer (core/lint.h) tests. The load-bearing pair of properties:
 //
 //  * Sensitivity: seeding a missing-edge hazard into an otherwise-correct
 //    captured plan (dropping one dep via the test hook) is detected, with
@@ -676,7 +676,7 @@ TEST(LintEnforcement, HazardousPlanNeverEntersTheCache)
     // out of the cache entirely.
     EXPECT_EQ(builds, 2);
 
-    // With enforcement off the same plan caches fine (mglint reports it
+    // With enforcement off the same plan caches fine (mgcheck reports it
     // instead).
     const ScopedLintEnv off("0");
     EXPECT_NO_THROW(

@@ -1,26 +1,35 @@
-// mgcheck — plan-level definedness and soundness proofs over the
-// LaunchGraph IR.
+// mgcheck — one static-analysis pass over every captured execution plan.
 //
-// Runs the abstract interpreter (core/check.h) over every captured
-// execution plan of the preset matrix (models x devices x modes x
-// composition units) together with each plan's static memory plan:
-// use-before-def, uninitialized accumulation, dead stores / leaked
-// temporaries, per-kernel size consistency, and the arena-aliasing
-// soundness proof that every pair of buffers sharing an arena slot is
-// strictly ordered. Findings carry the same witness chains mglint
-// hazards carry.
+// Builds the plan units of the preset matrix (models x devices x slice
+// modes x the eight composition units of plan_units.h) and proves each
+// plan three ways over the LaunchGraph IR — the static analogue of
+// running compute-sanitizer over every preset, exhaustive over schedules:
+//
+//  * lint (core/lint.h): no RAW/WAR/WAW hazard under the happens-before
+//    order, plus advisory schedule lints (dead streams, redundant edges,
+//    over-serializing joins, occupancy clamps, phase names);
+//  * memory (core/memplan.h): the static arena plan, re-validated so no
+//    two live-overlapping buffers alias, with its peak vs naive HBM
+//    footprint;
+//  * check (core/check.h): definedness (use-before-def, uninitialized
+//    accumulation), liveness (dead stores, leaked temporaries),
+//    per-kernel size consistency, and the arena-aliasing soundness proof
+//    over that memory plan. Findings carry witness dependency chains.
 //
 // The --defect hooks are the gate's self-test: each seeds one concrete
 // corruption into a copy of every applicable plan — dropping an init
 // write, shrinking a kernel's SizedBuffer annotations, shifting an
-// arena offset onto a live slot-mate — and the run must exit 2 with a
-// finding naming the corrupted buffer, proving the analyzer would catch
-// the real bug class.
+// arena offset onto a live slot-mate — before the analyses run, and the
+// run must exit 2 with a check finding naming the corrupted buffer,
+// proving the analyzer would catch the real bug class.
 //
-// Exit status: 0 = all plans clean, 2 = any error finding (or warnings
-// under --strict), 1 = usage/internal error (including a defect hook
-// that failed to fire anywhere).
+// Exit status: 0 = every plan proven; 2 = a lint hazard, a check error
+// or warning, an invalid memory plan, or a memory plan that pools
+// nothing (lint warnings and infos are reported, never gated); 1 =
+// usage/internal error (including a defect hook that fired nowhere or a
+// seeded defect the analyzer missed).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -40,6 +49,8 @@
 #include "core/launch_graph.h"
 #include "core/lint.h"
 #include "core/memplan.h"
+#include "core/plan_cache.h"
+#include "gpusim/device.h"
 #include "gpusim/launch.h"
 #include "profiler/history.h"
 
@@ -59,22 +70,78 @@ struct Options {
     std::string out_dir = ".";
     std::string report_path;  ///< Relative paths resolve under out_dir.
     Defect defect = Defect::kNone;
-    bool strict = false;
     bool quiet = false;
     bool verbose = false;
 };
 
-/// One checked unit: where it came from, its report, and (under
-/// --defect) what was corrupted.
+/// One analyzed unit: where it came from, what each analysis said, and
+/// (under --defect) what was corrupted.
 struct UnitResult {
     std::string model;
     std::string device;
     std::string mode;
     std::string unit;
-    CheckReport report;
+    LintReport lint;
+    MemPlan plan;
+    std::string mem_error;  ///< validate_memplan's message; empty = valid.
+    CheckReport check;
     std::string corrupted;  ///< Buffer the defect hook corrupted, if any.
     bool defect_fired = false;
+
+    bool valid() const { return mem_error.empty(); }
+    bool unpooled() const { return valid() && plan.pooling_savings() == 0; }
 };
+
+/// Matrix-wide counts: the stdout summary, the report summary, and the
+/// exit gate all read these.
+struct Totals {
+    std::size_t hazards = 0, lint_warnings = 0, lint_infos = 0;
+    std::size_t invalid = 0, unpooled = 0;
+    std::uint64_t naive = 0, peak = 0;
+    std::size_t errors = 0, warnings = 0;
+    std::size_t corrupted = 0, caught = 0;
+    double min_ratio = 0, max_ratio = 0;
+
+    explicit Totals(const std::vector<UnitResult> &all)
+    {
+        for (const UnitResult &r : all) {
+            hazards += r.lint.hazards();
+            lint_warnings += r.lint.count(LintSeverity::kWarning);
+            lint_infos += r.lint.count(LintSeverity::kInfo);
+            invalid += r.valid() ? 0 : 1;
+            unpooled += r.unpooled() ? 1 : 0;
+            naive += r.plan.naive_hbm_bytes();
+            peak += r.plan.peak_hbm_bytes();
+            errors += r.check.errors();
+            warnings += r.check.count(CheckSeverity::kWarning);
+            if (!r.corrupted.empty()) {
+                ++corrupted;
+                caught += r.defect_fired ? 1 : 0;
+            }
+            if (r.check.max_size_ratio > 0) {
+                if (min_ratio == 0 || r.check.min_size_ratio < min_ratio) {
+                    min_ratio = r.check.min_size_ratio;
+                }
+                if (r.check.max_size_ratio > max_ratio) {
+                    max_ratio = r.check.max_size_ratio;
+                }
+            }
+        }
+    }
+
+    bool gate_fails() const
+    {
+        return hazards > 0 || errors > 0 || warnings > 0 || invalid > 0 ||
+               unpooled > 0;
+    }
+};
+
+template <typename T>
+std::int64_t
+i64(T v)
+{
+    return static_cast<std::int64_t>(v);
+}
 
 const char *
 defect_name(Defect d)
@@ -93,12 +160,11 @@ usage(std::ostream &os)
 {
     os << "usage: mgcheck [options]\n"
           "\n"
-          "Abstractly interprets every captured execution plan across\n"
-          "the preset matrix (plus each plan's memory plan): definedness\n"
-          "(use-before-def, uninitialized accumulation), liveness (dead\n"
-          "stores, leaked temporaries), per-kernel size consistency, and\n"
-          "the arena-aliasing soundness proof. Findings carry witness\n"
-          "dependency chains.\n"
+          "Proves every captured execution plan across the preset matrix\n"
+          "(models x devices x slice modes x composition units) three\n"
+          "ways: race-free (lint), soundly pooled (memory plan), and\n"
+          "well-defined (check). Findings carry witness dependency\n"
+          "chains.\n"
           "\n"
           "  --models M1,M2    comma-separated subset of: longformer |"
           " qds | bigbird |\n"
@@ -115,9 +181,9 @@ usage(std::ostream &os)
           "                    applicable plan and require the analyzer\n"
           "                    to catch it: drop-init | shrink-size |\n"
           "                    shift-offset\n"
-          "  --strict          warnings also fail the gate\n"
           "  --quiet           only print the final summary line\n"
-          "  --verbose         also print per-plan stats and size ratios\n"
+          "  --verbose         also print info findings, per-plan check\n"
+          "                    stats, and arena maps\n"
           "  --help            this text\n";
 }
 
@@ -156,8 +222,6 @@ parse_args(int argc, char **argv)
                 throw Error("unknown --defect \"" + kind +
                             "\" (drop-init | shrink-size | shift-offset)");
             }
-        } else if (arg == "--strict") {
-            opt.strict = true;
         } else if (arg == "--quiet") {
             opt.quiet = true;
         } else if (arg == "--verbose") {
@@ -371,23 +435,18 @@ seed_shift_offset(const LaunchGraph &graph, MemPlan &plan)
     return "";
 }
 
-// ---- Checking -------------------------------------------------------------
+// ---- Analysis -------------------------------------------------------------
 
+/// Runs lint, the memory planner and the checker over one unit. Under
+/// --defect the corruption is seeded first — into a copy of the graph,
+/// or into the fresh memory plan for shift-offset — so every analysis
+/// sees the corrupted unit.
 void
-check_unit(std::vector<UnitResult> &results, const Options &opt,
-           const std::string &model, const std::string &device,
-           const std::string &mode, const std::string &unit,
-           const LaunchGraph &graph)
+analyze_unit(UnitResult &r, const Options &opt,
+             const sim::DeviceSpec &device, const LaunchGraph &graph)
 {
-    UnitResult r;
-    r.model = model;
-    r.device = device;
-    r.mode = mode;
-    r.unit = unit;
-
     LaunchGraph corrupted;
     const LaunchGraph *subject = &graph;
-    MemPlan plan;
     if (opt.defect == Defect::kDropInit ||
         opt.defect == Defect::kShrinkSize) {
         corrupted = graph;
@@ -395,20 +454,28 @@ check_unit(std::vector<UnitResult> &results, const Options &opt,
                           ? seed_drop_init(corrupted)
                           : seed_shrink_size(corrupted);
         subject = &corrupted;
-        plan = plan_memory(*subject);
-    } else {
-        plan = plan_memory(graph);
-        if (opt.defect == Defect::kShiftOffset) {
-            r.corrupted = seed_shift_offset(graph, plan);
-        }
+    }
+
+    LintOptions lopt;
+    lopt.device = &device;
+    r.lint = lint_graph(*subject, lopt);
+
+    r.plan = plan_memory(*subject);
+    if (opt.defect == Defect::kShiftOffset) {
+        r.corrupted = seed_shift_offset(*subject, r.plan);
+    }
+    try {
+        validate_memplan(*subject, r.plan);
+    } catch (const MemPlanError &e) {
+        r.mem_error = e.what();
     }
 
     CheckOptions copt;
-    copt.memplan = &plan;
-    r.report = check_graph(*subject, copt);
+    copt.memplan = &r.plan;
+    r.check = check_graph(*subject, copt);
 
     if (!r.corrupted.empty()) {
-        for (const CheckFinding &f : r.report.findings) {
+        for (const CheckFinding &f : r.check.findings) {
             if (f.severity == CheckSeverity::kError &&
                 f.buffer == r.corrupted) {
                 r.defect_fired = true;
@@ -416,113 +483,241 @@ check_unit(std::vector<UnitResult> &results, const Options &opt,
             }
         }
     }
-    results.push_back(std::move(r));
 }
+
+// ---- Console output -------------------------------------------------------
 
 void
 print_unit(const UnitResult &r, const Options &opt)
 {
-    const bool noisy = !r.report.clean() || !r.corrupted.empty() ||
-                       opt.verbose;
+    const std::size_t lint_warnings = r.lint.count(LintSeverity::kWarning);
+    const bool noisy = opt.verbose || r.lint.hazards() > 0 ||
+                       lint_warnings > 0 || !r.valid() || r.unpooled() ||
+                       !r.check.clean() || !r.corrupted.empty();
     if (opt.quiet || !noisy) {
         return;
     }
-    std::printf("%s | %s | %s | %s: %zu nodes, %zu buffers — %s",
+    std::printf("%s | %s | %s | %s: %zu nodes, %d streams, %zu buffers",
                 r.model.c_str(), r.device.c_str(), r.mode.c_str(),
-                r.unit.c_str(), r.report.num_nodes, r.report.num_buffers,
-                r.report.summary().c_str());
-    if (opt.verbose && r.report.max_size_ratio > 0) {
-        std::printf(" (size ratio %.3g..%.3g)", r.report.min_size_ratio,
-                    r.report.max_size_ratio);
-    }
+                r.unit.c_str(), r.lint.num_nodes, r.lint.num_streams,
+                r.plan.buffers.size());
     if (!r.corrupted.empty()) {
         std::printf(" [corrupted %s: %s]", r.corrupted.c_str(),
                     r.defect_fired ? "caught" : "MISSED");
     }
+
+    std::printf("\n  lint: %s\n", r.lint.summary().c_str());
+    for (const LintFinding &f : r.lint.findings) {
+        if (f.severity != LintSeverity::kInfo || opt.verbose) {
+            std::printf("    [%s] %s: %s\n", to_string(f.severity),
+                        to_string(f.kind), f.message.c_str());
+        }
+    }
+    const std::size_t infos = r.lint.count(LintSeverity::kInfo);
+    if (infos > 0 && !opt.verbose) {
+        std::printf("    (%zu info finding%s; --verbose to list)\n", infos,
+                    infos == 1 ? "" : "s");
+    }
+
+    std::printf("  memory: naive %llu, peak %llu bytes (%.1f%% pooled)%s%s\n",
+                static_cast<unsigned long long>(r.plan.naive_hbm_bytes()),
+                static_cast<unsigned long long>(r.plan.peak_hbm_bytes()),
+                100.0 * r.plan.pooling_savings(),
+                r.valid() ? "" : " — INVALID: ", r.mem_error.c_str());
+    if (opt.verbose) {
+        for (const MemPlanBuffer &b : r.plan.buffers) {
+            if (b.cls == BufferClass::kPooled) {
+                std::printf("    [%8llu, %8llu) n%03d-n%03d  %s\n",
+                            static_cast<unsigned long long>(b.offset),
+                            static_cast<unsigned long long>(b.offset +
+                                                            b.bytes),
+                            b.first_use, b.last_use, b.name.c_str());
+            }
+        }
+    }
+
+    std::printf("  check: %s", r.check.summary().c_str());
+    if (opt.verbose && r.check.max_size_ratio > 0) {
+        std::printf(" (size ratio %.3g..%.3g)", r.check.min_size_ratio,
+                    r.check.max_size_ratio);
+    }
     std::printf("\n");
-    for (const CheckFinding &f : r.report.findings) {
+    for (const CheckFinding &f : r.check.findings) {
         std::printf("    [%s] %s\n", to_string(f.severity),
                     f.message.c_str());
     }
 }
 
 void
+print_summary(const Totals &t, std::size_t plans, const Options &opt)
+{
+    std::printf("mgcheck: %zu plan%s — lint: %zu hazard(s), %zu"
+                " warning(s), %zu info(s); memory: naive %llu, peak %llu"
+                " bytes (saved %llu), %zu invalid, %zu unpooled; check:"
+                " %zu error(s), %zu warning(s)",
+                plans, plans == 1 ? "" : "s", t.hazards, t.lint_warnings,
+                t.lint_infos, static_cast<unsigned long long>(t.naive),
+                static_cast<unsigned long long>(t.peak),
+                static_cast<unsigned long long>(t.naive - t.peak),
+                t.invalid, t.unpooled, t.errors, t.warnings);
+    if (opt.defect != Defect::kNone) {
+        std::printf(", defect %s seeded into %zu (%zu missed)",
+                    defect_name(opt.defect), t.corrupted,
+                    t.corrupted - t.caught);
+    }
+    if (opt.verbose && t.max_ratio > 0) {
+        std::printf(", size ratios %.3g..%.3g", t.min_ratio, t.max_ratio);
+    }
+    std::printf("\n");
+}
+
+// ---- Report ---------------------------------------------------------------
+
+void
+write_ints(JsonWriter &w, const char *key, const std::vector<int> &ints)
+{
+    w.key(key);
+    w.begin_array();
+    for (const int n : ints) {
+        w.value(n);
+    }
+    w.end_array();
+}
+
+/// Lint and check findings share one shape: kind, severity, the two
+/// endpoint nodes, the buffer, and a witness chain to each endpoint.
+template <typename Finding>
+void
+write_findings(JsonWriter &w, const std::vector<Finding> &findings)
+{
+    w.key("findings");
+    w.begin_array();
+    for (const Finding &f : findings) {
+        w.begin_object();
+        w.field("kind", to_string(f.kind));
+        w.field("severity", to_string(f.severity));
+        w.field("node_a", f.node_a);
+        w.field("node_b", f.node_b);
+        w.field("buffer", f.buffer);
+        write_ints(w, "witness_a", f.witness_a);
+        write_ints(w, "witness_b", f.witness_b);
+        w.field("message", f.message);
+        w.end_object();
+    }
+    w.end_array();
+}
+
+void
+write_memory(JsonWriter &w, const UnitResult &r)
+{
+    const MemPlan &plan = r.plan;
+    w.key("memory");
+    w.begin_object();
+    w.field("valid", r.valid());
+    if (!r.valid()) {
+        w.field("error", r.mem_error);
+    }
+    w.field("nodes", i64(plan.num_nodes));
+    w.field("buffers", i64(plan.buffers.size()));
+    w.field("arena_bytes", i64(plan.arena_bytes));
+    w.field("external_bytes", i64(plan.external_bytes));
+    w.field("naive_hbm_bytes", i64(plan.naive_hbm_bytes()));
+    w.field("peak_hbm_bytes", i64(plan.peak_hbm_bytes()));
+    w.field("pooling_savings", plan.pooling_savings());
+    w.key("arena");
+    w.begin_array();
+    for (const MemPlanBuffer &b : plan.buffers) {
+        if (b.cls != BufferClass::kPooled) {
+            continue;
+        }
+        w.begin_object();
+        w.field("name", b.name);
+        w.field("bytes", i64(b.bytes));
+        w.field("offset", i64(b.offset));
+        w.field("first_use", b.first_use);
+        w.field("last_use", b.last_use);
+        w.end_object();
+    }
+    w.end_array();
+    w.end_object();
+}
+
+void
 write_report(const std::string &path, const Options &opt,
-             const std::vector<UnitResult> &all)
+             const std::vector<UnitResult> &all, const Totals &t)
 {
     std::ofstream file(path);
     MG_CHECK(file.good()) << "cannot open " << path << " for writing";
     JsonWriter w(file);
     w.begin_object();
     w.field("schema", "mgcheck.report");
-    w.field("version", 1);
+    w.field("version", 2);
     w.key("manifest");
     prof::write_manifest(w, prof::RunManifest::collect());
     w.field("defect", defect_name(opt.defect));
     w.key("plans");
     w.begin_array();
-    std::size_t errors = 0, warnings = 0, corrupted = 0, caught = 0;
     for (const UnitResult &r : all) {
-        errors += r.report.errors();
-        warnings += r.report.count(CheckSeverity::kWarning);
-        if (!r.corrupted.empty()) {
-            ++corrupted;
-            caught += r.defect_fired ? 1 : 0;
-        }
         w.begin_object();
         w.field("model", r.model);
         w.field("device", r.device);
         w.field("mode", r.mode);
         w.field("unit", r.unit);
-        w.field("nodes", static_cast<std::int64_t>(r.report.num_nodes));
-        w.field("buffers",
-                static_cast<std::int64_t>(r.report.num_buffers));
-        w.field("errors", static_cast<std::int64_t>(r.report.errors()));
-        w.field("warnings", static_cast<std::int64_t>(
-                                r.report.count(CheckSeverity::kWarning)));
-        if (r.report.max_size_ratio > 0) {
-            w.field("min_size_ratio", r.report.min_size_ratio);
-            w.field("max_size_ratio", r.report.max_size_ratio);
-        }
         if (!r.corrupted.empty()) {
             w.field("corrupted", r.corrupted);
             w.field("defect_fired", r.defect_fired);
         }
-        w.key("findings");
-        w.begin_array();
-        for (const CheckFinding &f : r.report.findings) {
-            w.begin_object();
-            w.field("kind", to_string(f.kind));
-            w.field("severity", to_string(f.severity));
-            w.field("node_a", f.node_a);
-            w.field("node_b", f.node_b);
-            w.field("buffer", f.buffer);
-            w.key("witness_a");
-            w.begin_array();
-            for (const int n : f.witness_a) {
-                w.value(n);
-            }
-            w.end_array();
-            w.key("witness_b");
-            w.begin_array();
-            for (const int n : f.witness_b) {
-                w.value(n);
-            }
-            w.end_array();
-            w.field("message", f.message);
-            w.end_object();
+
+        w.key("lint");
+        w.begin_object();
+        w.field("nodes", i64(r.lint.num_nodes));
+        w.field("streams", r.lint.num_streams);
+        w.field("edges", i64(r.lint.num_edges));
+        w.field("hazards", i64(r.lint.hazards()));
+        write_findings(w, r.lint.findings);
+        w.end_object();
+
+        write_memory(w, r);
+
+        w.key("check");
+        w.begin_object();
+        w.field("nodes", i64(r.check.num_nodes));
+        w.field("buffers", i64(r.check.num_buffers));
+        w.field("errors", i64(r.check.errors()));
+        w.field("warnings", i64(r.check.count(CheckSeverity::kWarning)));
+        if (r.check.max_size_ratio > 0) {
+            w.field("min_size_ratio", r.check.min_size_ratio);
+            w.field("max_size_ratio", r.check.max_size_ratio);
         }
-        w.end_array();
+        write_findings(w, r.check.findings);
+        w.end_object();
         w.end_object();
     }
     w.end_array();
+
     w.key("summary");
     w.begin_object();
-    w.field("plans", static_cast<std::int64_t>(all.size()));
-    w.field("errors", static_cast<std::int64_t>(errors));
-    w.field("warnings", static_cast<std::int64_t>(warnings));
-    w.field("corrupted", static_cast<std::int64_t>(corrupted));
-    w.field("caught", static_cast<std::int64_t>(caught));
+    w.field("plans", i64(all.size()));
+    w.field("corrupted", i64(t.corrupted));
+    w.field("caught", i64(t.caught));
+    w.key("lint");
+    w.begin_object();
+    w.field("hazards", i64(t.hazards));
+    w.field("warnings", i64(t.lint_warnings));
+    w.field("infos", i64(t.lint_infos));
+    w.end_object();
+    w.key("memory");
+    w.begin_object();
+    w.field("invalid", i64(t.invalid));
+    w.field("unpooled", i64(t.unpooled));
+    w.field("naive_hbm_bytes", i64(t.naive));
+    w.field("peak_hbm_bytes", i64(t.peak));
+    w.end_object();
+    w.key("check");
+    w.begin_object();
+    w.field("errors", i64(t.errors));
+    w.field("warnings", i64(t.warnings));
+    w.end_object();
     w.end_object();
     w.end_object();
 }
@@ -544,6 +739,8 @@ validate_report(const std::string &path)
         << path << ": manifest is not an object";
     MG_CHECK(doc.at("plans").is_array())
         << path << ": plans is not an array";
+    MG_CHECK(doc.at("summary").is_object())
+        << path << ": summary is not an object";
 }
 
 int
@@ -557,53 +754,36 @@ run(const Options &opt)
     setenv("MULTIGRAIN_CHECK", "0", 1);
 
     std::vector<UnitResult> all;
-    bench::for_each_combo(
-        opt.models, opt.devices, opt.modes,
-        [&](const std::string &model, const std::string &device,
-            const std::string &mode) {
-            tools::for_each_plan_unit(
-                opt.seed, model, device, mode,
-                [&](const std::string &unit, const LaunchGraph &graph) {
-                    check_unit(all, opt, model, device, mode, unit,
-                               graph);
-                    print_unit(all.back(), opt);
-                });
-        });
+    for (const std::string &model : opt.models) {
+        for (const std::string &device : opt.devices) {
+            const sim::DeviceSpec spec = sim::device_spec_by_name(device);
+            for (const std::string &mode : opt.modes) {
+                tools::for_each_plan_unit(
+                    opt.seed, model, device, mode,
+                    [&](const std::string &unit, const LaunchGraph &graph) {
+                        UnitResult r;
+                        r.model = model;
+                        r.device = device;
+                        r.mode = mode;
+                        r.unit = unit;
+                        analyze_unit(r, opt, spec, graph);
+                        print_unit(r, opt);
+                        all.push_back(std::move(r));
+                    });
+                // Each combo's plans are one-shot here; don't let the
+                // full matrix accumulate in the process-wide cache.
+                PlanCache::instance().clear();
+            }
+        }
+    }
 
-    std::size_t errors = 0, warnings = 0, corrupted = 0, missed = 0;
-    double min_ratio = 0, max_ratio = 0;
-    for (const UnitResult &r : all) {
-        errors += r.report.errors();
-        warnings += r.report.count(CheckSeverity::kWarning);
-        if (!r.corrupted.empty()) {
-            ++corrupted;
-            missed += r.defect_fired ? 0 : 1;
-        }
-        if (r.report.max_size_ratio > 0) {
-            if (min_ratio == 0 || r.report.min_size_ratio < min_ratio) {
-                min_ratio = r.report.min_size_ratio;
-            }
-            if (r.report.max_size_ratio > max_ratio) {
-                max_ratio = r.report.max_size_ratio;
-            }
-        }
-    }
-    std::printf("mgcheck: %zu plan%s — %zu error(s), %zu warning(s)",
-                all.size(), all.size() == 1 ? "" : "s", errors, warnings);
-    if (opt.defect != Defect::kNone) {
-        std::printf(", defect %s seeded into %zu (%zu missed)",
-                    defect_name(opt.defect), corrupted,
-                    missed);
-    }
-    if (opt.verbose && max_ratio > 0) {
-        std::printf(", size ratios %.3g..%.3g", min_ratio, max_ratio);
-    }
-    std::printf("\n");
+    const Totals totals(all);
+    print_summary(totals, all.size(), opt);
 
     if (!opt.report_path.empty()) {
         const std::string path =
             bench::resolve_out_path(opt.out_dir, opt.report_path);
-        write_report(path, opt, all);
+        write_report(path, opt, all, totals);
         validate_report(path);
         if (!opt.quiet) {
             std::printf("wrote %s\n", path.c_str());
@@ -614,18 +794,15 @@ run(const Options &opt)
         // The self-test must both corrupt something and catch every
         // corruption it seeded; a hook that never applied, or a seeded
         // bug the analyzer missed, is an internal error — not a finding.
-        if (corrupted == 0 || missed > 0) {
+        if (totals.corrupted == 0 || totals.caught < totals.corrupted) {
             std::fprintf(stderr,
                          "mgcheck: defect self-test failed: %zu seeded,"
                          " %zu missed\n",
-                         corrupted, missed);
+                         totals.corrupted, totals.corrupted - totals.caught);
             return 1;
         }
     }
-    if (errors > 0 || (opt.strict && warnings > 0)) {
-        return 2;
-    }
-    return 0;
+    return totals.gate_fails() ? 2 : 0;
 }
 
 }  // namespace

@@ -13,12 +13,17 @@
 #include "transformer/runner.h"
 #include "transformer/workload.h"
 
-/// The composition-unit enumeration the plan-level analysis tools
-/// (mgmem, mgcheck) share: for one (model, device, mode) combo, the
-/// eight captured execution plans the runners actually replay — the
-/// three layer kinds, a batched inference layer, and the composed units
-/// (training step, stacked layers, double forward) that exercise the
-/// append re-namespacing paths.
+/// The plan-unit enumeration mgcheck proves and its tests cover: for one
+/// (model, device, mode) combo, the eight captured execution plans the
+/// runners actually replay — the three layer kinds, a batched inference
+/// layer, and the composed units (training step, stacked layers, engine
+/// step, double forward) that exercise the append re-namespacing paths.
+/// The engine's sddmm/softmax/spmm phase graphs are sub-graphs of its
+/// forward, and the forward and backward graphs appear with their
+/// internal edges unchanged inside the engine units, so every hazard
+/// they could show shows here. Composed copies carry the runner's own
+/// layer tags (F00./B00. for a training step, L00./L01. for stacked
+/// copies) so every kernel name carves into a profiler phase.
 namespace multigrain::tools {
 
 /// Identity stream map [0, n) into `target`, creating the streams there
@@ -81,8 +86,8 @@ for_each_plan_unit(
         const std::vector<int> fmap = identity_streams(step, train_fwd);
         const std::vector<int> bmap = identity_streams(step, train_bwd);
         const std::string ns = "step";
-        step.append(train_fwd, "F.", &fmap, &ns);
-        step.append(train_bwd, "B.", &bmap, &ns);
+        step.append(train_fwd, "F00.", &fmap, &ns);
+        step.append(train_bwd, "B00.", &bmap, &ns);
         fn("layer.train_step.b1", step);
     }
     // Two stacked inference layers on the same streams, each with its
@@ -107,15 +112,15 @@ for_each_plan_unit(
         const std::vector<int> fmap = identity_streams(step, fwd);
         const std::vector<int> bmap = identity_streams(step, bwd);
         const std::string ns = "step";
-        step.append(fwd, "F.", &fmap, &ns);
-        step.append(bwd, "B.", &bmap, &ns);
+        step.append(fwd, "F00.", &fmap, &ns);
+        step.append(bwd, "B00.", &bmap, &ns);
         fn("engine.step.b1", step);
     }
     {
         LaunchGraph twice;
         const std::vector<int> map = identity_streams(twice, fwd);
-        twice.append(fwd, "A.", &map);
-        twice.append(fwd, "B.", &map);
+        twice.append(fwd, "L00.", &map);
+        twice.append(fwd, "L01.", &map);
         fn("engine.fwd.x2.b1", twice);
     }
 }
