@@ -12,8 +12,6 @@
 //     band edges but add metadata and per-block work; large blocks feed
 //     the tensor cores better but store more invalid positions.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
@@ -50,7 +48,7 @@ total_us(const CompoundPattern &pattern, const AttentionConfig &config,
 }
 
 void
-ablation_sddmm_scheme()
+ablation_sddmm_scheme(prof::BenchRun &run)
 {
     bench::print_title(
         "Ablation 1 — fine SDDMM: row splitting vs official 1D tiling "
@@ -74,7 +72,7 @@ ablation_sddmm_scheme()
                 .span(phase::kSddmm);
         std::printf("%-8s | %12.1f %12.1f | %8s\n", label.c_str(), t_rs,
                     t_td, bench::fmt_speedup(t_td / t_rs).c_str());
-        bench::report_row("ablation.fine_sddmm_scheme")
+        run.add_row("ablation.fine_sddmm_scheme")
             .label("pattern", label)
             .metric("rowsplit_us", t_rs)
             .metric("tiling1d_us", t_td);
@@ -82,7 +80,7 @@ ablation_sddmm_scheme()
 }
 
 void
-ablation_multistream()
+ablation_multistream(prof::BenchRun &run)
 {
     bench::print_title(
         "Ablation 2 — Multigrain with and without multi-stream (A100)");
@@ -101,7 +99,7 @@ ablation_multistream()
         std::printf("%-8s | %12.1f %12.1f | %8s\n", label.c_str(), t_multi,
                     t_single,
                     bench::fmt_speedup(t_single / t_multi).c_str());
-        bench::report_row("ablation.multistream")
+        run.add_row("ablation.multistream")
             .label("pattern", label)
             .metric("multi_us", t_multi)
             .metric("single_us", t_single);
@@ -109,7 +107,7 @@ ablation_multistream()
 }
 
 void
-ablation_global_routing()
+ablation_global_routing(prof::BenchRun &run)
 {
     bench::print_title(
         "Ablation 3 — global rows on dense kernels vs in the fine kernels "
@@ -135,7 +133,7 @@ ablation_global_routing()
             total_us(pattern, fine, SliceMode::kMultigrain);
         std::printf("%-8s | %12.1f %12.1f | %8s\n", label.c_str(), t_dense,
                     t_fine, bench::fmt_speedup(t_fine / t_dense).c_str());
-        bench::report_row("ablation.global_routing")
+        run.add_row("ablation.global_routing")
             .label("pattern", label)
             .metric("dense_us", t_dense)
             .metric("fine_us", t_fine);
@@ -143,7 +141,7 @@ ablation_global_routing()
 }
 
 void
-ablation_block_size()
+ablation_block_size(prof::BenchRun &run)
 {
     bench::print_title(
         "Ablation 4 — Multigrain coarse block size (A100, L+S pattern)");
@@ -165,7 +163,7 @@ ablation_block_size()
                     100.0 *
                         static_cast<double>(plan.coarse_valid_elements()) /
                         static_cast<double>(plan.coarse_stored_elements()));
-        bench::report_row("ablation.block_size")
+        run.add_row("ablation.block_size")
             .metric("block", static_cast<double>(block))
             .metric("attn_us", t)
             .metric("stored_elements",
@@ -178,37 +176,13 @@ ablation_block_size()
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("ablation_schemes");
-    ablation_sddmm_scheme();
-    ablation_multistream();
-    ablation_global_routing();
-    ablation_block_size();
-
-    for (const auto &[label, pattern] :
-         fig9_patterns(kSeqLen, kDensity, 2022)) {
-        const CompoundPattern pat = pattern;
-        benchmark::RegisterBenchmark(
-            (std::string("ablation/multistream/") + label).c_str(),
-            [pat](benchmark::State &state) {
-                AttentionConfig single = base_config();
-                single.multi_stream = false;
-                for (auto _ : state) {
-                    const double multi = total_us(pat, base_config(),
-                                                  SliceMode::kMultigrain);
-                    const double serial =
-                        total_us(pat, single, SliceMode::kMultigrain);
-                    state.SetIterationTime(multi * 1e-6);
-                    state.counters["multistream_gain"] = serial / multi;
-                }
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMicrosecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    prof::BenchRun run = bench::new_bench_run("ablation_schemes", "a100");
+    ablation_sddmm_scheme(run);
+    ablation_multistream(run);
+    ablation_global_routing(run);
+    ablation_block_size(run);
+    bench::write_bench_artifact(run);
     return 0;
 }

@@ -7,8 +7,6 @@
 // burns the most energy (all that stored-block traffic is charged per
 // byte).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <iostream>
 
@@ -35,7 +33,7 @@ config()
 }
 
 void
-characterize_attention()
+characterize_attention(prof::BenchRun &run)
 {
     const CompoundPattern p =
         preset_local_selected_global(4096, 0.05, 2022);
@@ -50,7 +48,7 @@ characterize_attention()
         const sim::WorkloadReport report =
             sim::characterize(result, sim::DeviceSpec::a100());
         sim::print_report(report, std::cout, 12);
-        bench::report_row("characterization.attention")
+        run.add_row("characterization.attention")
             .label("mode", to_string(mode))
             .metric("total_us", result.total_us)
             .metric("dram_bytes", result.work.dram_bytes())
@@ -60,7 +58,7 @@ characterize_attention()
 }
 
 void
-end_to_end_energy()
+end_to_end_energy(prof::BenchRun &run)
 {
     bench::print_title(
         "End-to-end energy per inference (A100, batch 1)");
@@ -83,7 +81,7 @@ end_to_end_energy()
             joules[static_cast<int>(mode) == 1   ? 0
                    : static_cast<int>(mode) == 2 ? 1
                                                  : 2] = j;
-            bench::report_row("characterization.energy")
+            run.add_row("characterization.energy")
                 .label("model", model.name)
                 .label("mode", to_string(mode))
                 .metric("total_j", j);
@@ -96,33 +94,11 @@ end_to_end_energy()
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("characterization");
-    characterize_attention();
-    end_to_end_energy();
-
-    benchmark::RegisterBenchmark(
-        "characterization/LSG_multigrain", [](benchmark::State &state) {
-            const CompoundPattern p =
-                preset_local_selected_global(4096, 0.05, 2022);
-            const AttentionEngine engine(p, config(),
-                                         SliceMode::kMultigrain);
-            for (auto _ : state) {
-                const sim::SimResult r =
-                    engine.simulate(sim::DeviceSpec::a100());
-                const sim::WorkloadReport report =
-                    sim::characterize(r, sim::DeviceSpec::a100());
-                state.SetIterationTime(r.total_us * 1e-6);
-                state.counters["dynamic_j"] = report.dynamic_j;
-                state.counters["avg_watts"] = report.average_watts();
-            }
-        })
-        ->UseManualTime()
-        ->Iterations(1)
-        ->Unit(benchmark::kMicrosecond);
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    prof::BenchRun run = bench::new_bench_run("characterization", "a100");
+    characterize_attention(run);
+    end_to_end_energy(run);
+    bench::write_bench_artifact(run);
     return 0;
 }

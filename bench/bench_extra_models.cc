@@ -5,8 +5,6 @@
 // will be applied to future models"; this bench closes the loop by running
 // those models end to end under all three processing methods.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
@@ -50,9 +48,9 @@ run_model(const ModelConfig &model, const sim::DeviceSpec &device)
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("extra_models");
+    prof::BenchRun run = bench::new_bench_run("extra_models");
     bench::print_title(
         "Extension — other compound-sparse models (§2.3), end-to-end, "
         "batch 1");
@@ -64,7 +62,7 @@ main(int argc, char **argv)
         for (const ModelConfig &model : {ModelConfig::bigbird_etc_base(),
                                          ModelConfig::poolingformer_base()}) {
             const Row row = run_model(model, device);
-            bench::report_row("extra_models")
+            run.add_row("extra_models")
                 .label("device", device.name)
                 .label("model", model.name)
                 .metric("triton_us", row.triton_us)
@@ -83,28 +81,6 @@ main(int argc, char **argv)
                             .c_str());
         }
     }
-
-    for (const ModelConfig &model : {ModelConfig::bigbird_etc_base(),
-                                     ModelConfig::poolingformer_base()}) {
-        const ModelConfig m = model;
-        benchmark::RegisterBenchmark(
-            ("extra_models/A100/" + m.name).c_str(),
-            [m](benchmark::State &state) {
-                for (auto _ : state) {
-                    const Row row = run_model(m, sim::DeviceSpec::a100());
-                    state.SetIterationTime(row.multigrain_us * 1e-6);
-                    state.counters["vs_triton"] =
-                        row.triton_us / row.multigrain_us;
-                    state.counters["vs_sputnik"] =
-                        row.sputnik_us / row.multigrain_us;
-                }
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    bench::write_bench_artifact(run);
     return 0;
 }

@@ -10,8 +10,6 @@
 // 2.20x-2.82x (dense rows routed to the dense softmax instead of stalling
 // one row block).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <map>
 #include <string>
@@ -48,9 +46,9 @@ softmax_us(const CompoundPattern &pattern, SliceMode mode)
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("fig10_spsoftmax");
+    prof::BenchRun run = bench::new_bench_run("fig10_spsoftmax", "a100");
     std::map<std::string, std::map<int, double>> all;
     for (const auto &[label, pattern] :
          fig9_patterns(kSeqLen, kDensity, 2022)) {
@@ -59,7 +57,7 @@ main(int argc, char **argv)
               SliceMode::kFineOnly}) {
             const double us = softmax_us(pattern, mode);
             all[label][static_cast<int>(mode)] = us;
-            bench::report_row("fig10")
+            run.add_row("fig10")
                 .label("pattern", label)
                 .label("mode", to_string(mode))
                 .metric("softmax_us", us);
@@ -85,29 +83,6 @@ main(int argc, char **argv)
                     label.c_str(), bench::fmt_speedup(s / m).c_str(),
                     bench::fmt_speedup(t / m).c_str(), m, s, t);
     }
-
-    for (const auto &[label, pattern] :
-         fig9_patterns(kSeqLen, kDensity, 2022)) {
-        for (const SliceMode mode :
-             {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
-              SliceMode::kFineOnly}) {
-            const CompoundPattern pat = pattern;
-            const std::string name =
-                std::string("fig10/") + label + "/" + to_string(mode);
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [pat, mode](benchmark::State &state) {
-                    for (auto _ : state) {
-                        state.SetIterationTime(softmax_us(pat, mode) * 1e-6);
-                    }
-                })
-                ->UseManualTime()
-                ->Iterations(1)
-                ->Unit(benchmark::kMicrosecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    bench::write_bench_artifact(run);
     return 0;
 }

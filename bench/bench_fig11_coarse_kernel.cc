@@ -8,85 +8,21 @@
 // batch 1: our blocked row-splitting assigns whole block rows to single
 // thread blocks and the per-row block counts vary, while Triton's
 // per-block mapping has no imbalance. Fig. 12 shows batching recovers it.
-
-#include <benchmark/benchmark.h>
+//
+// The rows are the mgperf "fig11" preset's on A100 (bench_util.h), so
+// the artifact and the gated baseline share one definition.
 
 #include <cstdio>
-#include <map>
-#include <string>
 
 #include "bench_util.h"
-#include "formats/convert.h"
-#include "gpusim/device.h"
-#include "kernels/blocked_baseline.h"
-#include "kernels/coarse.h"
-#include "patterns/presets.h"
-#include "patterns/slice.h"
-
-namespace {
-
-using namespace multigrain;
-
-constexpr index_t kSeqLen = 4096;
-constexpr index_t kHeadDim = 64;
-constexpr index_t kHeads = 4;
-
-struct OpTimes {
-    double ours_sddmm = 0;
-    double triton_sddmm = 0;
-    double ours_spmm = 0;
-    double triton_spmm = 0;
-};
-
-double
-simulate_one(sim::KernelLaunch launch)
-{
-    sim::GpuSim sim(sim::DeviceSpec::a100());
-    sim.launch(0, std::move(launch));
-    return sim.run().total_us;
-}
-
-OpTimes
-run_pattern(const CompoundPattern &pattern, index_t batch)
-{
-    SliceOptions options;
-    options.block = 64;
-    options.mode = SliceMode::kCoarseOnly;
-    const SlicePlan plan = slice_and_dice(pattern, options);
-    const BsrLayout &bsr = *plan.coarse;
-    const BcooLayout bcoo = bcoo_from_bsr(bsr);
-    const sim::DeviceSpec dev = sim::DeviceSpec::a100();
-    const index_t replicas = batch * kHeads;
-
-    OpTimes t;
-    t.ours_sddmm = simulate_one(
-        kernels::plan_coarse_sddmm(dev, bsr, kHeadDim, replicas));
-    t.triton_sddmm = simulate_one(
-        kernels::plan_triton_sddmm(dev, bcoo, kHeadDim, replicas));
-    t.ours_spmm = simulate_one(
-        kernels::plan_coarse_spmm(dev, bsr, kHeadDim, replicas));
-    t.triton_spmm = simulate_one(
-        kernels::plan_triton_spmm(dev, bsr, kHeadDim, replicas));
-    return t;
-}
-
-}  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("fig11_coarse_kernel");
-    std::map<std::string, OpTimes> all;
-    for (const auto &[label, pattern] : fig11_patterns(kSeqLen, 2022)) {
-        const OpTimes t = run_pattern(pattern, 1);
-        all[label] = t;
-        bench::report_row("fig11")
-            .label("pattern", label)
-            .metric("ours_sddmm_us", t.ours_sddmm)
-            .metric("triton_sddmm_us", t.triton_sddmm)
-            .metric("ours_spmm_us", t.ours_spmm)
-            .metric("triton_spmm_us", t.triton_spmm);
-    }
+    using namespace multigrain;
+    prof::BenchRun run =
+        bench::run_bench_preset(*bench::find_bench_preset("fig11"), "a100");
+    run.name = "fig11_coarse_kernel";
 
     bench::print_title(
         "Figure 11 — our coarse kernel vs Triton-style blocked kernel "
@@ -94,38 +30,21 @@ main(int argc, char **argv)
     std::printf("%-15s | %-24s | %-24s\n", "pattern",
                 "SDDMM ours/Triton (us)", "SpMM ours/Triton (us)");
     bench::print_rule();
-    for (const auto &[label, pattern] : fig11_patterns(kSeqLen, 2022)) {
-        const OpTimes &t = all.at(label);
+    for (const prof::BenchRow &row : run.rows) {
+        if (row.series != "fig11") {
+            continue;
+        }
+        const double ours_sddmm = bench::metric(row, "ours_sddmm_us");
+        const double triton_sddmm = bench::metric(row, "triton_sddmm_us");
+        const double ours_spmm = bench::metric(row, "ours_spmm_us");
+        const double triton_spmm = bench::metric(row, "triton_spmm_us");
         std::printf("%-15s | %7.1f / %7.1f  %5s | %7.1f / %7.1f  %5s\n",
-                    label.c_str(), t.ours_sddmm, t.triton_sddmm,
-                    bench::fmt_speedup(t.triton_sddmm / t.ours_sddmm)
-                        .c_str(),
-                    t.ours_spmm, t.triton_spmm,
-                    bench::fmt_speedup(t.triton_spmm / t.ours_spmm)
-                        .c_str());
+                    row.labels.front().second.c_str(), ours_sddmm,
+                    triton_sddmm,
+                    bench::fmt_speedup(triton_sddmm / ours_sddmm).c_str(),
+                    ours_spmm, triton_spmm,
+                    bench::fmt_speedup(triton_spmm / ours_spmm).c_str());
     }
-
-    for (const auto &[label, pattern] : fig11_patterns(kSeqLen, 2022)) {
-        const CompoundPattern pat = pattern;
-        benchmark::RegisterBenchmark(
-            (std::string("fig11/") + label).c_str(),
-            [pat](benchmark::State &state) {
-                for (auto _ : state) {
-                    const OpTimes t = run_pattern(pat, 1);
-                    state.SetIterationTime((t.ours_sddmm + t.ours_spmm) *
-                                           1e-6);
-                    state.counters["sddmm_vs_triton"] =
-                        t.triton_sddmm / t.ours_sddmm;
-                    state.counters["spmm_vs_triton"] =
-                        t.triton_spmm / t.ours_spmm;
-                }
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMicrosecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    bench::write_bench_artifact(run);
     return 0;
 }

@@ -8,119 +8,42 @@
 // with batch (up to 1.43x / 2.02x / 1.49x on local / blocked-local /
 // blocked-random).
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "bench_util.h"
-#include "formats/convert.h"
 #include "gpusim/device.h"
-#include "kernels/blocked_baseline.h"
-#include "kernels/coarse.h"
 #include "patterns/presets.h"
-#include "patterns/slice.h"
-
-namespace {
-
-using namespace multigrain;
-
-constexpr index_t kSeqLen = 4096;
-constexpr index_t kHeadDim = 64;
-constexpr index_t kHeads = 4;
-const std::vector<index_t> kBatches = {1, 2, 4, 8};
-
-double
-simulate_one(sim::KernelLaunch launch)
-{
-    sim::GpuSim sim(sim::DeviceSpec::a100());
-    sim.launch(0, std::move(launch));
-    return sim.run().total_us;
-}
-
-struct Ratios {
-    double sddmm = 0;  ///< Triton time / our time.
-    double spmm = 0;
-};
-
-Ratios
-run_pattern(const CompoundPattern &pattern, index_t batch)
-{
-    SliceOptions options;
-    options.block = 64;
-    options.mode = SliceMode::kCoarseOnly;
-    const SlicePlan plan = slice_and_dice(pattern, options);
-    const BsrLayout &bsr = *plan.coarse;
-    const BcooLayout bcoo = bcoo_from_bsr(bsr);
-    const sim::DeviceSpec dev = sim::DeviceSpec::a100();
-    const index_t replicas = batch * kHeads;
-
-    Ratios r;
-    r.sddmm =
-        simulate_one(
-            kernels::plan_triton_sddmm(dev, bcoo, kHeadDim, replicas)) /
-        simulate_one(
-            kernels::plan_coarse_sddmm(dev, bsr, kHeadDim, replicas));
-    r.spmm =
-        simulate_one(
-            kernels::plan_triton_spmm(dev, bsr, kHeadDim, replicas)) /
-        simulate_one(
-            kernels::plan_coarse_spmm(dev, bsr, kHeadDim, replicas));
-    return r;
-}
-
-}  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("fig12_coarse_batch");
+    using namespace multigrain;
+    constexpr index_t kSeqLen = 4096;
+    constexpr index_t kHeads = 4;
+    prof::BenchRun run = bench::new_bench_run("fig12_coarse_batch", "a100");
     bench::print_title(
         "Figure 12 — our coarse kernel speedup over Triton vs batch size "
         "(A100, 4 heads, d_h=64)");
     std::printf("%-15s %6s | %12s | %12s\n", "pattern", "batch",
                 "SDDMM", "SpMM");
     bench::print_rule(60);
-    std::map<std::string, std::map<index_t, Ratios>> all;
     for (const auto &[label, pattern] : fig11_patterns(kSeqLen, 2022)) {
-        for (const index_t batch : kBatches) {
-            const Ratios r = run_pattern(pattern, batch);
-            all[label][batch] = r;
-            bench::report_row("fig12")
+        for (const index_t batch : {1, 2, 4, 8}) {
+            const bench::CoarseKernelTimes t = bench::coarse_vs_triton(
+                sim::DeviceSpec::a100(), pattern, batch * kHeads);
+            const double sddmm = t.triton_sddmm_us / t.ours_sddmm_us;
+            const double spmm = t.triton_spmm_us / t.ours_spmm_us;
+            run.add_row("fig12")
                 .label("pattern", label)
                 .metric("batch", static_cast<double>(batch))
-                .metric("sddmm_vs_triton", r.sddmm)
-                .metric("spmm_vs_triton", r.spmm);
+                .metric("sddmm_vs_triton", sddmm)
+                .metric("spmm_vs_triton", spmm);
             std::printf("%-15s %6lld | %12s | %12s\n", label.c_str(),
                         static_cast<long long>(batch),
-                        bench::fmt_speedup(r.sddmm).c_str(),
-                        bench::fmt_speedup(r.spmm).c_str());
+                        bench::fmt_speedup(sddmm).c_str(),
+                        bench::fmt_speedup(spmm).c_str());
         }
     }
-
-    for (const auto &[label, pattern] : fig11_patterns(kSeqLen, 2022)) {
-        for (const index_t batch : kBatches) {
-            const CompoundPattern pat = pattern;
-            const std::string name = std::string("fig12/") + label +
-                                     "/batch" + std::to_string(batch);
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [pat, batch](benchmark::State &state) {
-                    for (auto _ : state) {
-                        const Ratios r = run_pattern(pat, batch);
-                        state.SetIterationTime(1e-6);
-                        state.counters["sddmm_vs_triton"] = r.sddmm;
-                        state.counters["spmm_vs_triton"] = r.spmm;
-                    }
-                })
-                ->UseManualTime()
-                ->Iterations(1);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    bench::write_bench_artifact(run);
     return 0;
 }

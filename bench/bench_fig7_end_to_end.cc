@@ -9,21 +9,17 @@
 // Sputnik baseline overtakes Triton (the paper's §5.1 crossover) and
 // Multigrain's margin over Sputnik narrows (QDS: 1.02x in the paper).
 //
-// The end-to-end simulations are expensive, so the registered
-// google-benchmark entries replay the cached simulated times instead of
-// re-running the simulator.
-
-#include <benchmark/benchmark.h>
+// The runs are the mgperf "fig7" preset's (bench_util.h), averaged over
+// three dataset samples per device instead of the preset's one.
 
 #include <cstdio>
 #include <map>
 #include <string>
+#include <tuple>
 
 #include "bench_util.h"
 #include "gpusim/device.h"
-#include "transformer/config.h"
 #include "transformer/runner.h"
-#include "transformer/workload.h"
 
 namespace {
 
@@ -49,27 +45,18 @@ run_all()
 {
     for (const sim::DeviceSpec &device :
          {sim::DeviceSpec::a100(), sim::DeviceSpec::rtx3090()}) {
-        for (const ModelConfig &model :
-             {ModelConfig::longformer_large(), ModelConfig::qds_base()}) {
-            Rng sample_rng(2022);
-            for (int i = 0; i < kSamples; ++i) {
-                const WorkloadSample sample =
-                    sample_for_model(sample_rng, model);
-                for (const SliceMode mode :
-                     {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
-                      SliceMode::kFineOnly}) {
-                    const TransformerRunner runner(model, mode, sample, 1);
-                    const EndToEndResult r = runner.simulate(device);
-                    EndToEndResult &acc = g_results[{
-                        device.name, model.name, static_cast<int>(mode)}];
-                    acc.total_us += r.total_us / kSamples;
-                    acc.attention_us += r.attention_us / kSamples;
-                    acc.dram_bytes += r.dram_bytes / kSamples;
-                    acc.attention_dram_bytes +=
-                        r.attention_dram_bytes / kSamples;
-                }
-            }
-        }
+        bench::for_each_fig7_run(
+            device, kSamples,
+            [&device](const ModelConfig &model, SliceMode mode,
+                      const TransformerRunner &, const EndToEndResult &r) {
+                EndToEndResult &acc = g_results[{
+                    device.name, model.name, static_cast<int>(mode)}];
+                acc.total_us += r.total_us / kSamples;
+                acc.attention_us += r.attention_us / kSamples;
+                acc.dram_bytes += r.dram_bytes / kSamples;
+                acc.attention_dram_bytes +=
+                    r.attention_dram_bytes / kSamples;
+            });
     }
 }
 
@@ -119,14 +106,13 @@ print_table()
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("fig7_end_to_end");
+    prof::BenchRun run = bench::new_bench_run("fig7_end_to_end");
     run_all();
     print_table();
-
     for (const auto &[key, result] : g_results) {
-        bench::report_row("fig7")
+        run.add_row("fig7")
             .label("device", key.device)
             .label("model", key.model)
             .label("mode", to_string(static_cast<SliceMode>(key.mode)))
@@ -134,26 +120,8 @@ main(int argc, char **argv)
             .metric("attention_us", result.attention_us)
             .metric("dram_bytes", result.dram_bytes)
             .metric("attention_dram_bytes", result.attention_dram_bytes);
-        const std::string name = "fig7/" + key.device + "/" + key.model +
-                                 "/" +
-                                 to_string(static_cast<SliceMode>(key.mode));
-        const double us = result.total_us;
-        const double gb = result.dram_bytes / 1e9;
-        benchmark::RegisterBenchmark(name.c_str(),
-                                     [us, gb](benchmark::State &state) {
-                                         for (auto _ : state) {
-                                             state.SetIterationTime(us *
-                                                                    1e-6);
-                                         }
-                                         state.counters["dram_gb"] = gb;
-                                     })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
     }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
-    bench::report_plan_cache();
+    bench::append_plan_cache_row(run);
+    bench::write_bench_artifact(run);
     return 0;
 }

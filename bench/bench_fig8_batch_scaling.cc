@@ -6,11 +6,6 @@
 // thread blocks hide the coarse kernels' load imbalance and fill the SMs):
 // up to 2.34x / 2.13x over Triton / Sputnik for Longformer and 1.82x /
 // 1.17x for QDS on A100.
-//
-// Like Fig. 7, the registered google-benchmark entries replay cached
-// simulated times (the table computation is the actual simulator run).
-
-#include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <map>
@@ -104,37 +99,20 @@ print_table()
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("fig8_batch_scaling");
+    prof::BenchRun run = bench::new_bench_run("fig8_batch_scaling");
     run_all();
     print_table();
 
     for (const auto &[key, us] : g_total_us) {
-        bench::report_row("fig8")
+        run.add_row("fig8")
             .label("device", key.device)
             .label("model", key.model)
             .label("mode", to_string(static_cast<SliceMode>(key.mode)))
             .metric("batch", static_cast<double>(key.batch))
             .metric("total_us", us);
-        const std::string name =
-            "fig8/" + key.device + "/" + key.model + "/batch" +
-            std::to_string(key.batch) + "/" +
-            to_string(static_cast<SliceMode>(key.mode));
-        const double cached = us;
-        benchmark::RegisterBenchmark(name.c_str(),
-                                     [cached](benchmark::State &state) {
-                                         for (auto _ : state) {
-                                             state.SetIterationTime(
-                                                 cached * 1e-6);
-                                         }
-                                     })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
     }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    bench::write_bench_artifact(run);
     return 0;
 }

@@ -7,76 +7,34 @@
 // global atom show the largest wins over Sputnik (load imbalance of dense
 // rows, up to 5.81x SDDMM / 5.24x SpMM); RB+R shows the smallest wins
 // (randomness-induced imbalance hits our row-mapped coarse kernel too).
-
-#include <benchmark/benchmark.h>
+//
+// The rows are the mgperf "fig9" preset's on A100 (bench_util.h), so
+// the artifact and the gated baseline share one definition.
 
 #include <cstdio>
-#include <map>
-#include <memory>
-#include <vector>
+#include <string>
 
 #include "bench_util.h"
-#include "core/attention.h"
-#include "gpusim/device.h"
 #include "patterns/presets.h"
 
 namespace {
 
 using namespace multigrain;
 
-constexpr index_t kSeqLen = 4096;
-constexpr double kDensity = 0.05;  // 95 % sparsity per row.
-
-struct PhaseTimes {
-    double sddmm_us = 0;
-    double softmax_us = 0;
-    double spmm_us = 0;
-    double total_us = 0;
-};
-
-AttentionConfig
-fig9_config()
+/// The preset's row for one pattern × mode; throws when absent.
+const prof::BenchRow &
+times(const prof::BenchRun &run, const std::string &pattern, SliceMode mode)
 {
-    AttentionConfig config;
-    config.head_dim = 64;
-    config.num_heads = 4;
-    config.batch = 1;
-    config.block = 64;
-    return config;
-}
-
-PhaseTimes
-run_method(const CompoundPattern &pattern, SliceMode mode)
-{
-    const AttentionEngine engine(pattern, fig9_config(), mode);
-    const sim::SimResult r = engine.simulate(sim::DeviceSpec::a100());
-    PhaseTimes t;
-    t.sddmm_us = r.span(phase::kSddmm);
-    t.softmax_us = r.span(phase::kSoftmax);
-    t.spmm_us = r.span(phase::kSpmm);
-    t.total_us = r.total_us;
-    return t;
-}
-
-std::shared_ptr<std::map<std::string, std::map<int, PhaseTimes>>>
-compute_all()
-{
-    auto all = std::make_shared<
-        std::map<std::string, std::map<int, PhaseTimes>>>();
-    for (const auto &[label, pattern] :
-         fig9_patterns(kSeqLen, kDensity, 2022)) {
-        for (const SliceMode mode :
-             {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
-              SliceMode::kFineOnly}) {
-            (*all)[label][static_cast<int>(mode)] =
-                run_method(pattern, mode);
-        }
-    }
-    return all;
+    prof::BenchRow probe;
+    probe.series = "fig9";
+    probe.label("pattern", pattern).label("mode", to_string(mode));
+    const prof::BenchRow *row = run.find_row(probe.key());
+    MG_CHECK(row != nullptr) << run.name << " has no row " << probe.key();
+    return *row;
 }
 
 void
-print_table(const std::map<std::string, std::map<int, PhaseTimes>> &all)
+print_table(const prof::BenchRun &run)
 {
     bench::print_title(
         "Figure 9 — compound sparse GEMM speedup of Multigrain "
@@ -85,34 +43,35 @@ print_table(const std::map<std::string, std::map<int, PhaseTimes>> &all)
                 "SDDMM vs Sputnik/Triton", "SpMM  vs Sputnik/Triton");
     bench::print_rule();
     // Preserve the paper's pattern order.
-    for (const auto &[label, pattern] :
-         fig9_patterns(kSeqLen, kDensity, 2022)) {
-        const auto &modes = all.at(label);
-        const PhaseTimes &mg =
-            modes.at(static_cast<int>(SliceMode::kMultigrain));
-        const PhaseTimes &tr =
-            modes.at(static_cast<int>(SliceMode::kCoarseOnly));
-        const PhaseTimes &sp =
-            modes.at(static_cast<int>(SliceMode::kFineOnly));
+    const auto patterns = fig9_patterns(4096, 0.05, 2022);
+    for (const auto &[label, pattern] : patterns) {
+        const prof::BenchRow &mg = times(run, label, SliceMode::kMultigrain);
+        const prof::BenchRow &tr = times(run, label, SliceMode::kCoarseOnly);
+        const prof::BenchRow &sp = times(run, label, SliceMode::kFineOnly);
+        const auto ratio = [](const prof::BenchRow &base,
+                              const prof::BenchRow &ours, const char *key) {
+            return bench::fmt_speedup(bench::metric(base, key) /
+                                      bench::metric(ours, key));
+        };
         std::printf("%-8s | %9s / %-10s | %9s / %-10s\n", label.c_str(),
-                    bench::fmt_speedup(sp.sddmm_us / mg.sddmm_us).c_str(),
-                    bench::fmt_speedup(tr.sddmm_us / mg.sddmm_us).c_str(),
-                    bench::fmt_speedup(sp.spmm_us / mg.spmm_us).c_str(),
-                    bench::fmt_speedup(tr.spmm_us / mg.spmm_us).c_str());
+                    ratio(sp, mg, "sddmm_us").c_str(),
+                    ratio(tr, mg, "sddmm_us").c_str(),
+                    ratio(sp, mg, "spmm_us").c_str(),
+                    ratio(tr, mg, "spmm_us").c_str());
     }
     bench::print_rule();
     std::printf("raw phase times (us):\n");
     std::printf("%-8s %-12s %10s %10s %10s\n", "pattern", "method", "sddmm",
                 "softmax", "spmm");
-    for (const auto &[label, pattern] :
-         fig9_patterns(kSeqLen, kDensity, 2022)) {
+    for (const auto &[label, pattern] : patterns) {
         for (const SliceMode mode :
              {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
               SliceMode::kFineOnly}) {
-            const PhaseTimes &t = all.at(label).at(static_cast<int>(mode));
+            const prof::BenchRow &t = times(run, label, mode);
             std::printf("%-8s %-12s %10.1f %10.1f %10.1f\n", label.c_str(),
-                        to_string(mode), t.sddmm_us, t.softmax_us,
-                        t.spmm_us);
+                        to_string(mode), bench::metric(t, "sddmm_us"),
+                        bench::metric(t, "softmax_us"),
+                        bench::metric(t, "spmm_us"));
         }
     }
 }
@@ -120,45 +79,12 @@ print_table(const std::map<std::string, std::map<int, PhaseTimes>> &all)
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("fig9_compound_gemm");
-    const auto all = compute_all();
-    print_table(*all);
-
-    for (const auto &[label, pattern] :
-         fig9_patterns(kSeqLen, kDensity, 2022)) {
-        for (const SliceMode mode :
-             {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
-              SliceMode::kFineOnly}) {
-            const PhaseTimes &t = all->at(label).at(static_cast<int>(mode));
-            bench::report_row("fig9")
-                .label("pattern", label)
-                .label("mode", to_string(mode))
-                .metric("sddmm_us", t.sddmm_us)
-                .metric("softmax_us", t.softmax_us)
-                .metric("spmm_us", t.spmm_us)
-                .metric("total_us", t.total_us);
-            const CompoundPattern pat = pattern;
-            const std::string name =
-                std::string("fig9/") + label + "/" + to_string(mode);
-            benchmark::RegisterBenchmark(
-                name.c_str(),
-                [pat, mode](benchmark::State &state) {
-                    for (auto _ : state) {
-                        const PhaseTimes t = run_method(pat, mode);
-                        state.SetIterationTime(t.total_us * 1e-6);
-                        state.counters["sddmm_us"] = t.sddmm_us;
-                        state.counters["spmm_us"] = t.spmm_us;
-                    }
-                })
-                ->UseManualTime()
-                ->Iterations(1)
-                ->Unit(benchmark::kMillisecond);
-        }
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    prof::BenchRun run =
+        bench::run_bench_preset(*bench::find_bench_preset("fig9"), "a100");
+    run.name = "fig9_compound_gemm";
+    print_table(run);
+    bench::write_bench_artifact(run);
     return 0;
 }

@@ -7,8 +7,6 @@
 // baseline on the same pattern, reproducing the paper's qualitative §2.4
 // argument for why Multigrain does not adopt the chunked methods.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
@@ -90,12 +88,12 @@ run_blocked(index_t block)
 }
 
 void
-print_row(const char *label, const Row &row)
+print_row(prof::BenchRun &run, const char *label, const Row &row)
 {
     std::printf("%-24s | %10.1f | %10.1f (%5.3f GB copies) | %10.1f\n",
                 label, row.multigrain_us, row.chunked_us,
                 row.chunked_copy_gb, row.triton_us);
-    bench::report_row("section24")
+    run.add_row("section24")
         .label("pattern", label)
         .metric("multigrain_us", row.multigrain_us)
         .metric("chunked_us", row.chunked_us)
@@ -106,39 +104,19 @@ print_row(const char *label, const Row &row)
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("section24_chunked");
+    prof::BenchRun run = bench::new_bench_run("section24_chunked", "a100");
     bench::print_title(
         "§2.4 — chunked methods vs Multigrain's coarse path "
         "(A100, L=4096, 4 heads, whole attention op)");
     std::printf("%-24s | %10s | %33s | %10s\n", "pattern", "MG (us)",
                 "sliding-chunk/blockify (us)", "Triton (us)");
     bench::print_rule(90);
-    print_row("local w=256", run_local(256));
-    print_row("local w=128", run_local(128));
-    print_row("blocked_local b=64", run_blocked(64));
-    print_row("blocked_local b=128", run_blocked(128));
-
-    for (const index_t window : {128, 256}) {
-        benchmark::RegisterBenchmark(
-            ("section24/local_w" + std::to_string(window)).c_str(),
-            [window](benchmark::State &state) {
-                for (auto _ : state) {
-                    const Row row = run_local(window);
-                    state.SetIterationTime(row.multigrain_us * 1e-6);
-                    state.counters["vs_chunked"] =
-                        row.chunked_us / row.multigrain_us;
-                    state.counters["vs_triton"] =
-                        row.triton_us / row.multigrain_us;
-                }
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMicrosecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    print_row(run, "local w=256", run_local(256));
+    print_row(run, "local w=128", run_local(128));
+    print_row(run, "blocked_local b=64", run_blocked(64));
+    print_row(run, "blocked_local b=128", run_blocked(128));
+    bench::write_bench_artifact(run);
     return 0;
 }

@@ -5,8 +5,6 @@
 // softmax + PV GEMM) and against the two sparse baselines — showing where
 // sparsity starts paying and how the gap widens.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -68,9 +66,9 @@ sparse_attention_us(index_t seq, SliceMode mode)
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("seq_scaling");
+    prof::BenchRun run = bench::new_bench_run("seq_scaling", "a100");
     const std::vector<index_t> lengths = {1024, 2048, 4096, 8192, 16384};
 
     bench::print_title(
@@ -100,7 +98,7 @@ main(int argc, char **argv)
             static_cast<long long>(seq), dense, triton, sputnik, mg,
             bench::fmt_speedup(dense / mg).c_str(),
             bench::fmt_speedup(mem_dense / mem_mg).c_str());
-        bench::report_row("seq_scaling")
+        run.add_row("seq_scaling")
             .metric("seq_len", static_cast<double>(seq))
             .metric("dense_us", dense)
             .metric("triton_us", triton)
@@ -112,25 +110,6 @@ main(int argc, char **argv)
     std::printf(
         "\n(dense time should ~4x per doubling; Multigrain ~2x, so the\n"
         " advantage compounds with L — the paper's §1 motivation)\n");
-
-    for (const index_t seq : lengths) {
-        benchmark::RegisterBenchmark(
-            ("seq_scaling/L" + std::to_string(seq)).c_str(),
-            [seq](benchmark::State &state) {
-                for (auto _ : state) {
-                    const double mg =
-                        sparse_attention_us(seq, SliceMode::kMultigrain);
-                    state.SetIterationTime(mg * 1e-6);
-                    state.counters["dense_vs_mg"] =
-                        dense_attention_us(seq) / mg;
-                }
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMicrosecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    bench::write_bench_artifact(run);
     return 0;
 }

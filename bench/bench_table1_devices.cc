@@ -5,8 +5,6 @@
 // the DRAM bandwidth, and a CUDA-core-heavy kernel the calibrated fraction
 // of the CUDA peak.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
@@ -73,9 +71,10 @@ print_device(const sim::DeviceSpec &d, const Roofline &r)
 }
 
 void
-report_device(const sim::DeviceSpec &d, const Roofline &r)
+report_device(prof::BenchRun &run, const sim::DeviceSpec &d,
+              const Roofline &r)
 {
-    bench::report_row("table1")
+    run.add_row("table1")
         .label("device", d.name)
         .metric("dram_gbps", d.dram_gbps)
         .metric("cuda_tflops", d.cuda_tflops)
@@ -88,9 +87,9 @@ report_device(const sim::DeviceSpec &d, const Roofline &r)
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("table1_devices");
+    prof::BenchRun run = bench::new_bench_run("table1_devices");
     bench::print_title(
         "Table 1 — device specifications and simulator roofline check");
     std::printf("%-9s | %8s | %8s | %8s | %8s | %6s | %9s | %9s | %9s\n",
@@ -103,8 +102,8 @@ main(int argc, char **argv)
     const Roofline rr = measure(rtx);
     print_device(a100, ra);
     print_device(rtx, rr);
-    report_device(a100, ra);
-    report_device(rtx, rr);
+    report_device(run, a100, ra);
+    report_device(run, rtx, rr);
     bench::print_rule(100);
     std::printf(
         "achieved fractions: A100 TC %.0f%%, CUDA %.0f%%, BW %.0f%%; "
@@ -115,27 +114,6 @@ main(int argc, char **argv)
         100 * rr.gemm_tflops / rtx.tensor_tflops,
         100 * rr.cuda_tflops / rtx.cuda_tflops,
         100 * rr.stream_gbps / rtx.dram_gbps);
-
-    for (const char *name : {"A100", "RTX3090"}) {
-        const bool is_a100 = std::string(name) == "A100";
-        benchmark::RegisterBenchmark(
-            (std::string("table1/roofline/") + name).c_str(),
-            [is_a100](benchmark::State &state) {
-                const sim::DeviceSpec d = is_a100
-                                              ? sim::DeviceSpec::a100()
-                                              : sim::DeviceSpec::rtx3090();
-                for (auto _ : state) {
-                    const Roofline r = measure(d);
-                    state.SetIterationTime(1e-6);
-                    state.counters["gemm_tflops"] = r.gemm_tflops;
-                    state.counters["stream_gbps"] = r.stream_gbps;
-                }
-            })
-            ->UseManualTime()
-            ->Iterations(1);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    bench::write_bench_artifact(run);
     return 0;
 }

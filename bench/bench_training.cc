@@ -5,8 +5,6 @@
 // backward, and the dQ/dK/dV SpMMs (two of them over transposed
 // metadata) — so the slice-and-dice advantage compounds.
 
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 
@@ -21,7 +19,7 @@ namespace {
 using namespace multigrain;
 
 void
-run_model(const ModelConfig &model, index_t batch)
+run_model(prof::BenchRun &run, const ModelConfig &model, index_t batch)
 {
     Rng rng(2022);
     const WorkloadSample sample = sample_for_model(rng, model);
@@ -36,7 +34,7 @@ run_model(const ModelConfig &model, index_t batch)
             runner.simulate(sim::DeviceSpec::a100()).total_us;
         const EndToEndResult step =
             runner.simulate_training(sim::DeviceSpec::a100());
-        bench::report_row("training")
+        run.add_row("training")
             .label("model", model.name)
             .label("mode", to_string(mode))
             .metric("batch", static_cast<double>(batch))
@@ -60,39 +58,13 @@ run_model(const ModelConfig &model, index_t batch)
 }  // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    bench::report_name("training");
+    prof::BenchRun run = bench::new_bench_run("training", "a100");
     bench::print_title(
         "Extension — training step (forward + backward) on A100");
-    run_model(ModelConfig::qds_base(), 4);
-    run_model(ModelConfig::longformer_large(), 1);
-
-    for (const bool longformer : {false, true}) {
-        const ModelConfig model = longformer
-                                      ? ModelConfig::longformer_large()
-                                      : ModelConfig::qds_base();
-        benchmark::RegisterBenchmark(
-            ("training/" + model.name).c_str(),
-            [model, longformer](benchmark::State &state) {
-                Rng rng(2022);
-                const WorkloadSample sample = sample_for_model(rng, model);
-                const TransformerRunner runner(
-                    model, SliceMode::kMultigrain, sample,
-                    longformer ? 1 : 4);
-                for (auto _ : state) {
-                    const double us =
-                        runner.simulate_training(sim::DeviceSpec::a100())
-                            .total_us;
-                    state.SetIterationTime(us * 1e-6);
-                }
-            })
-            ->UseManualTime()
-            ->Iterations(1)
-            ->Unit(benchmark::kMillisecond);
-    }
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
-    benchmark::Shutdown();
+    run_model(run, ModelConfig::qds_base(), 4);
+    run_model(run, ModelConfig::longformer_large(), 1);
+    bench::write_bench_artifact(run);
     return 0;
 }

@@ -4,13 +4,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/error.h"
-#include "common/json.h"
 #include "common/logging.h"
 #include "core/attention.h"
 #include "core/plan_cache.h"
@@ -20,7 +18,6 @@
 #include "kernels/coarse.h"
 #include "patterns/presets.h"
 #include "patterns/slice.h"
-#include "profiler/export.h"
 #include "profiler/history.h"
 #include "serve/cluster.h"
 #include "serve/server.h"
@@ -28,16 +25,19 @@
 #include "transformer/runner.h"
 #include "transformer/workload.h"
 
-/// Shared console-table helpers for the benchmark harness. Every bench
-/// binary prints the rows/series its paper table or figure reports, then
-/// registers the same runs with google-benchmark (simulated time reported
-/// as manual time).
+/// The benchmark harness's shared pieces. Every bench binary collects
+/// the rows its paper table or figure reports into one prof::BenchRun,
+/// prints its console tables, and writes the run as `BENCH_<name>.json`
+/// through write_bench_artifact().
 ///
-/// This header also hosts the lightweight bench-preset registry mgperf
-/// runs its regression gate over: reduced, deterministic in-process
-/// versions of the headline figures (one dataset sample instead of the
-/// binaries' averaged three), parameterized by device so baselines exist
-/// per (preset, device) pair.
+/// This header also hosts the bench-preset registry mgperf runs its
+/// regression gate over: deterministic in-process versions of the
+/// headline figures, parameterized by device so baselines exist per
+/// (preset, device) pair. A gated figure has one definition: the fig9
+/// and fig11 binaries print the A100 preset rows, fig12 reuses fig11's
+/// kernel pair per batch size, and fig7's binary and preset share one
+/// per-sample runner (the binary averages three samples per device, the
+/// preset takes one).
 namespace multigrain::bench {
 
 inline void
@@ -81,163 +81,6 @@ fmt_gb(double bytes)
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.3f", bytes / 1e9);
     return buf;
-}
-
-/// One row of a figure/table series: ordered label and metric cells, all
-/// flattened into one JSON object when the artifact is written.
-class JsonRow {
-  public:
-    explicit JsonRow(std::string series) : series_(std::move(series)) {}
-
-    JsonRow &
-    label(const std::string &key, const std::string &value)
-    {
-        labels_.emplace_back(key, value);
-        return *this;
-    }
-
-    JsonRow &
-    metric(const std::string &key, double value)
-    {
-        metrics_.emplace_back(key, value);
-        return *this;
-    }
-
-    void
-    write(JsonWriter &w) const
-    {
-        w.begin_object();
-        w.field("series", series_);
-        for (const auto &[key, value] : labels_) {
-            w.field(key, value);
-        }
-        for (const auto &[key, value] : metrics_) {
-            w.field(key, value);
-        }
-        w.end_object();
-    }
-
-  private:
-    std::string series_;
-    std::vector<std::pair<std::string, std::string>> labels_;
-    std::vector<std::pair<std::string, double>> metrics_;
-};
-
-/// Process-wide machine-readable artifact. Each bench binary names the
-/// artifact once in main(), appends rows wherever it computes results, and
-/// the file `BENCH_<name>.json` (under $MULTIGRAIN_BENCH_DIR, default cwd)
-/// is written when the process exits — the same rows the console tables
-/// show, in the pinned "mgprof.bench" schema.
-class JsonReport {
-  public:
-    static JsonReport &
-    instance()
-    {
-        static JsonReport *report = new JsonReport;
-        return *report;
-    }
-
-    void
-    set_name(const std::string &name)
-    {
-        name_ = name;
-        std::atexit(&JsonReport::write_at_exit);
-    }
-
-    JsonRow &
-    row(const std::string &series)
-    {
-        rows_.emplace_back(series);
-        return rows_.back();
-    }
-
-    std::string
-    to_json() const
-    {
-        std::ostringstream os;
-        {
-            JsonWriter w(os);
-            w.begin_object();
-            w.field("schema", prof::kBenchSchema);
-            w.field("schema_version", prof::kBenchSchemaVersion);
-            w.field("name", name_);
-            // Schema v2: every artifact carries its provenance, so the
-            // history corpus can pin any number to a commit.
-            w.key("manifest");
-            prof::write_manifest(w, prof::RunManifest::collect());
-            w.key("rows");
-            w.begin_array();
-            for (const JsonRow &r : rows_) {
-                r.write(w);
-            }
-            w.end_array();
-            w.end_object();
-        }
-        return os.str();
-    }
-
-    void
-    write() const
-    {
-        if (name_.empty()) {
-            return;
-        }
-        std::string dir = ".";
-        if (const char *env = std::getenv("MULTIGRAIN_BENCH_DIR")) {
-            if (*env != '\0') {
-                dir = env;
-            }
-        }
-        const std::string path = dir + "/BENCH_" + name_ + ".json";
-        std::ofstream file(path);
-        if (!file.good()) {
-            log_message(LogLevel::kWarn,
-                        "cannot write bench artifact " + path);
-            return;
-        }
-        file << to_json() << "\n";
-        std::fprintf(stderr, "bench: wrote %s (%zu rows)\n", path.c_str(),
-                     rows_.size());
-    }
-
-  private:
-    JsonReport() = default;
-
-    static void
-    write_at_exit()
-    {
-        instance().write();
-    }
-
-    std::string name_;
-    std::vector<JsonRow> rows_;
-};
-
-/// Names this binary's artifact; call once at the top of main().
-inline void
-report_name(const std::string &name)
-{
-    JsonReport::instance().set_name(name);
-}
-
-/// Appends a row to the artifact; chain .label()/.metric() on the result.
-inline JsonRow &
-report_row(const std::string &series)
-{
-    return JsonReport::instance().row(series);
-}
-
-/// Appends a "plan_cache" row with the process-wide plan-cache counters —
-/// call at the end of a bench main so the artifact records how much
-/// planning the run amortized through capture/replay.
-inline void
-report_plan_cache()
-{
-    const PlanCacheStats stats = PlanCache::instance().stats();
-    JsonRow &row = report_row("plan_cache");
-    for (const PlanCacheMetricDef &metric : plan_cache_metric_registry()) {
-        row.metric(metric.key, metric.get(stats));
-    }
 }
 
 // ---- Shared CLI plumbing -------------------------------------------------
@@ -294,6 +137,123 @@ resolve_out_path(const std::string &out_dir, const std::string &path)
     return out_dir + "/" + path;
 }
 
+// ---- Bench artifacts -----------------------------------------------------
+
+/// An empty bench-binary run, stamped with the CLI name of the device
+/// it runs on ("" when it covers several).
+inline prof::BenchRun
+new_bench_run(const std::string &name, const std::string &device = "")
+{
+    prof::BenchRun run;
+    run.name = name;
+    run.manifest = prof::RunManifest::collect(device);
+    return run;
+}
+
+/// Writes `run` as `BENCH_<run.name>.json` under $MULTIGRAIN_BENCH_DIR
+/// (default cwd) in the "mgprof.bench" schema — the one artifact path of
+/// every bench binary. An unwritable directory is a warning, not a
+/// failure: the console tables are the binary's primary output.
+inline void
+write_bench_artifact(const prof::BenchRun &run)
+{
+    const std::string path =
+        default_artifact_dir(".") + "/BENCH_" + run.name + ".json";
+    std::ofstream file(path);
+    if (!file.good()) {
+        log_message(LogLevel::kWarn, "cannot write bench artifact " + path);
+        return;
+    }
+    file << run.to_json() << "\n";
+    std::fprintf(stderr, "bench: wrote %s (%zu rows)\n", path.c_str(),
+                 run.rows.size());
+}
+
+/// Appends a "plan_cache" row with the process-wide plan-cache counters,
+/// recording how much planning the run amortized through capture/replay.
+inline void
+append_plan_cache_row(prof::BenchRun &run)
+{
+    const PlanCacheStats stats = PlanCache::instance().stats();
+    prof::BenchRow &row = run.add_row("plan_cache");
+    for (const PlanCacheMetricDef &metric : plan_cache_metric_registry()) {
+        row.metric(metric.key, metric.get(stats));
+    }
+}
+
+/// Metric `name` of `row`; throws when absent.
+inline double
+metric(const prof::BenchRow &row, const std::string &name)
+{
+    const double *value = row.find_metric(name);
+    MG_CHECK(value != nullptr) << row.key() << " has no metric " << name;
+    return *value;
+}
+
+// ---- Shared figure runners -----------------------------------------------
+
+/// Runs Figure 7's forwards in one order: Longformer-large then
+/// QDS-Transformer-base, `samples` dataset inputs each drawn from a fresh
+/// Rng(2022), each input under multigrain / coarse-only / fine-only at
+/// batch 1. `fn(model, mode, runner, result)` sees every run.
+template <typename Fn>
+void
+for_each_fig7_run(const sim::DeviceSpec &device, int samples, Fn &&fn)
+{
+    for (const ModelConfig &model :
+         {ModelConfig::longformer_large(), ModelConfig::qds_base()}) {
+        Rng rng(2022);
+        for (int i = 0; i < samples; ++i) {
+            const WorkloadSample sample = sample_for_model(rng, model);
+            for (const SliceMode mode :
+                 {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
+                  SliceMode::kFineOnly}) {
+                const TransformerRunner runner(model, mode, sample, 1);
+                fn(model, mode, runner, runner.simulate(device));
+            }
+        }
+    }
+}
+
+/// Figures 11 and 12: our coarse kernels and the Triton-style blocked
+/// kernels over one pure coarse pattern, each simulated alone.
+struct CoarseKernelTimes {
+    double ours_sddmm_us = 0;
+    double triton_sddmm_us = 0;
+    double ours_spmm_us = 0;
+    double triton_spmm_us = 0;
+};
+
+/// Times both kernel pairs over `pattern` (block 64, d_h = 64) with
+/// `replicas` = batch × heads independent head-batches.
+inline CoarseKernelTimes
+coarse_vs_triton(const sim::DeviceSpec &device,
+                 const CompoundPattern &pattern, index_t replicas)
+{
+    constexpr index_t kHeadDim = 64;
+    const auto simulate_one = [&device](sim::KernelLaunch launch) {
+        sim::GpuSim sim(device);
+        sim.launch(0, std::move(launch));
+        return sim.run().total_us;
+    };
+    SliceOptions options;
+    options.block = 64;
+    options.mode = SliceMode::kCoarseOnly;
+    const SlicePlan plan = slice_and_dice(pattern, options);
+    const BsrLayout &bsr = *plan.coarse;
+    const BcooLayout bcoo = bcoo_from_bsr(bsr);
+    CoarseKernelTimes t;
+    t.ours_sddmm_us = simulate_one(
+        kernels::plan_coarse_sddmm(device, bsr, kHeadDim, replicas));
+    t.triton_sddmm_us = simulate_one(
+        kernels::plan_triton_sddmm(device, bcoo, kHeadDim, replicas));
+    t.ours_spmm_us = simulate_one(
+        kernels::plan_coarse_spmm(device, bsr, kHeadDim, replicas));
+    t.triton_spmm_us = simulate_one(
+        kernels::plan_triton_spmm(device, bsr, kHeadDim, replicas));
+    return t;
+}
+
 // ---- Bench-preset registry (the mgperf gate's workload table) -----------
 
 /// One registered preset: a deterministic in-process benchmark whose rows
@@ -306,52 +266,34 @@ struct BenchPreset {
 
 namespace detail {
 
-inline prof::BenchRow &
-preset_row(prof::BenchRun &run, const std::string &series)
-{
-    run.rows.emplace_back();
-    run.rows.back().series = series;
-    return run.rows.back();
-}
-
 /// Figure 7 preset: end-to-end inference of Longformer-large and
 /// QDS-Transformer-base under the three processing modes, one dataset
-/// sample (the binaries average three; the gate wants speed and
+/// sample (the binary averages three; the gate wants speed and
 /// determinism, not averaging).
 inline prof::BenchRun
 preset_fig7(const sim::DeviceSpec &device)
 {
     prof::BenchRun run;
-    for (const char *model_name : {"longformer", "qds"}) {
-        const ModelConfig model = model_config_by_name(model_name);
-        Rng rng(2022);
-        const WorkloadSample sample = sample_for_model(rng, model);
-        for (const SliceMode mode :
-             {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
-              SliceMode::kFineOnly}) {
-            const TransformerRunner runner(model, mode, sample, 1);
-            const EndToEndResult r = runner.simulate(device);
-            prof::BenchRow &row = preset_row(run, "fig7");
-            row.labels.emplace_back("model", model.name);
-            row.labels.emplace_back("mode", to_string(mode));
-            row.metrics.emplace_back("total_us", r.total_us);
-            row.metrics.emplace_back("attention_us", r.attention_us);
-            row.metrics.emplace_back("dram_bytes", r.dram_bytes);
-            row.metrics.emplace_back("attention_dram_bytes",
-                                     r.attention_dram_bytes);
-            // Static memory plan of the replayed layer, scaled to the
-            // whole model — exact-gated (core/memplan.h).
-            const auto mem = runner.layer_memplan(
-                device, TransformerRunner::LayerKind::kInference);
-            const double layers = static_cast<double>(model.num_layers);
-            row.metrics.emplace_back(
-                "peak_hbm_bytes",
-                static_cast<double>(mem->peak_hbm_bytes()) * layers);
-            row.metrics.emplace_back(
-                "pooling_savings",
-                static_cast<double>(mem->pooling_savings()) * layers);
-        }
-    }
+    for_each_fig7_run(device, 1, [&](const ModelConfig &model, SliceMode mode,
+                                     const TransformerRunner &runner,
+                                     const EndToEndResult &r) {
+        // Static memory plan of the replayed layer, scaled to the whole
+        // model — exact-gated (core/memplan.h).
+        const auto mem = runner.layer_memplan(
+            device, TransformerRunner::LayerKind::kInference);
+        const double layers = static_cast<double>(model.num_layers);
+        run.add_row("fig7")
+            .label("model", model.name)
+            .label("mode", to_string(mode))
+            .metric("total_us", r.total_us)
+            .metric("attention_us", r.attention_us)
+            .metric("dram_bytes", r.dram_bytes)
+            .metric("attention_dram_bytes", r.attention_dram_bytes)
+            .metric("peak_hbm_bytes",
+                    static_cast<double>(mem->peak_hbm_bytes()) * layers)
+            .metric("pooling_savings",
+                    static_cast<double>(mem->pooling_savings()) * layers);
+    });
     return run;
 }
 
@@ -376,86 +318,56 @@ preset_fig9(const sim::DeviceSpec &device)
               SliceMode::kFineOnly}) {
             const AttentionEngine engine(pattern, config, mode);
             const sim::SimResult r = engine.simulate(device);
-            prof::BenchRow &row = preset_row(run, "fig9");
-            row.labels.emplace_back("pattern", label);
-            row.labels.emplace_back("mode", to_string(mode));
-            row.metrics.emplace_back("sddmm_us", r.span(phase::kSddmm));
-            row.metrics.emplace_back("softmax_us",
-                                     r.span(phase::kSoftmax));
-            row.metrics.emplace_back("spmm_us", r.span(phase::kSpmm));
-            row.metrics.emplace_back("total_us", r.total_us);
             const auto mem = engine.forward_memplan(device);
-            row.metrics.emplace_back(
-                "peak_hbm_bytes",
-                static_cast<double>(mem->peak_hbm_bytes()));
-            row.metrics.emplace_back(
-                "pooling_savings",
-                static_cast<double>(mem->pooling_savings()));
+            run.add_row("fig9")
+                .label("pattern", label)
+                .label("mode", to_string(mode))
+                .metric("sddmm_us", r.span(phase::kSddmm))
+                .metric("softmax_us", r.span(phase::kSoftmax))
+                .metric("spmm_us", r.span(phase::kSpmm))
+                .metric("total_us", r.total_us)
+                .metric("peak_hbm_bytes",
+                        static_cast<double>(mem->peak_hbm_bytes()))
+                .metric("pooling_savings",
+                        static_cast<double>(mem->pooling_savings()));
         }
     }
     return run;
 }
 
 /// Figure 11 preset: our coarse kernels vs the Triton-style blocked
-/// kernels on the pure coarse patterns.
+/// kernels on the pure coarse patterns (batch 1, 4 heads).
 inline prof::BenchRun
 preset_fig11(const sim::DeviceSpec &device)
 {
     constexpr index_t kSeqLen = 4096;
-    constexpr index_t kHeadDim = 64;
     constexpr index_t kHeads = 4;
-    const auto simulate_one = [&device](sim::KernelLaunch launch) {
-        sim::GpuSim sim(device);
-        sim.launch(0, std::move(launch));
-        return sim.run().total_us;
-    };
+    // The raw kernel plans carry no buffer annotations, so the memory
+    // metrics come from the coarse-only engine over the same pattern —
+    // the captured plan those kernels run inside.
+    AttentionConfig mem_config;
+    mem_config.head_dim = 64;
+    mem_config.num_heads = kHeads;
+    mem_config.batch = 1;
+    mem_config.block = 64;
 
     prof::BenchRun run;
     for (const auto &[label, pattern] : fig11_patterns(kSeqLen, 2022)) {
-        SliceOptions options;
-        options.block = 64;
-        options.mode = SliceMode::kCoarseOnly;
-        const SlicePlan plan = slice_and_dice(pattern, options);
-        const BsrLayout &bsr = *plan.coarse;
-        const BcooLayout bcoo = bcoo_from_bsr(bsr);
-        prof::BenchRow &row = preset_row(run, "fig11");
-        row.labels.emplace_back("pattern", label);
-        {
-            // The raw kernel plans carry no buffer annotations, so the
-            // memory metrics come from the coarse-only engine over the
-            // same pattern — the captured plan those kernels run inside.
-            AttentionConfig mem_config;
-            mem_config.head_dim = kHeadDim;
-            mem_config.num_heads = kHeads;
-            mem_config.batch = 1;
-            mem_config.block = 64;
-            const AttentionEngine engine(pattern, mem_config,
-                                         SliceMode::kCoarseOnly);
-            const auto mem = engine.forward_memplan(device);
-            row.metrics.emplace_back(
-                "peak_hbm_bytes",
-                static_cast<double>(mem->peak_hbm_bytes()));
-            row.metrics.emplace_back(
-                "pooling_savings",
-                static_cast<double>(mem->pooling_savings()));
-        }
-        row.metrics.emplace_back(
-            "ours_sddmm_us",
-            simulate_one(
-                kernels::plan_coarse_sddmm(device, bsr, kHeadDim, kHeads)));
-        row.metrics.emplace_back(
-            "triton_sddmm_us",
-            simulate_one(
-                kernels::plan_triton_sddmm(device, bcoo, kHeadDim,
-                                           kHeads)));
-        row.metrics.emplace_back(
-            "ours_spmm_us",
-            simulate_one(
-                kernels::plan_coarse_spmm(device, bsr, kHeadDim, kHeads)));
-        row.metrics.emplace_back(
-            "triton_spmm_us",
-            simulate_one(
-                kernels::plan_triton_spmm(device, bsr, kHeadDim, kHeads)));
+        const auto mem =
+            AttentionEngine(pattern, mem_config, SliceMode::kCoarseOnly)
+                .forward_memplan(device);
+        const CoarseKernelTimes t =
+            coarse_vs_triton(device, pattern, kHeads);
+        run.add_row("fig11")
+            .label("pattern", label)
+            .metric("peak_hbm_bytes",
+                    static_cast<double>(mem->peak_hbm_bytes()))
+            .metric("pooling_savings",
+                    static_cast<double>(mem->pooling_savings()))
+            .metric("ours_sddmm_us", t.ours_sddmm_us)
+            .metric("triton_sddmm_us", t.triton_sddmm_us)
+            .metric("ours_spmm_us", t.ours_spmm_us)
+            .metric("triton_spmm_us", t.triton_spmm_us);
     }
     return run;
 }
@@ -473,20 +385,18 @@ preset_tiny(const sim::DeviceSpec &device)
          {SliceMode::kMultigrain, SliceMode::kDense}) {
         const TransformerRunner runner(model, mode, sample, 1);
         const EndToEndResult r = runner.simulate(device);
-        prof::BenchRow &row = preset_row(run, "tiny");
-        row.labels.emplace_back("mode", to_string(mode));
-        row.metrics.emplace_back("total_us", r.total_us);
-        row.metrics.emplace_back("attention_us", r.attention_us);
-        row.metrics.emplace_back("dram_bytes", r.dram_bytes);
         const auto mem = runner.layer_memplan(
             device, TransformerRunner::LayerKind::kInference);
         const double layers = static_cast<double>(model.num_layers);
-        row.metrics.emplace_back(
-            "peak_hbm_bytes",
-            static_cast<double>(mem->peak_hbm_bytes()) * layers);
-        row.metrics.emplace_back(
-            "pooling_savings",
-            static_cast<double>(mem->pooling_savings()) * layers);
+        run.add_row("tiny")
+            .label("mode", to_string(mode))
+            .metric("total_us", r.total_us)
+            .metric("attention_us", r.attention_us)
+            .metric("dram_bytes", r.dram_bytes)
+            .metric("peak_hbm_bytes",
+                    static_cast<double>(mem->peak_hbm_bytes()) * layers)
+            .metric("pooling_savings",
+                    static_cast<double>(mem->pooling_savings()) * layers);
     }
     return run;
 }
@@ -532,50 +442,37 @@ preset_cluster_tiny(const sim::DeviceSpec &device)
         << "cluster_tiny does not conserve";
 
     prof::BenchRun run;
-    prof::BenchRow &fleet = preset_row(run, "cluster");
-    fleet.labels.emplace_back("policy", to_string(report.policy));
-    fleet.metrics.emplace_back("arrivals",
-                               static_cast<double>(report.arrivals));
-    fleet.metrics.emplace_back("completed",
-                               static_cast<double>(report.completed));
-    fleet.metrics.emplace_back(
-        "deadline_miss", static_cast<double>(report.deadline_miss));
-    fleet.metrics.emplace_back("rejected",
-                               static_cast<double>(report.rejected));
-    fleet.metrics.emplace_back("timed_out",
-                               static_cast<double>(report.timed_out));
-    fleet.metrics.emplace_back(
-        "lost_in_flight", static_cast<double>(report.lost_in_flight));
-    fleet.metrics.emplace_back("rounds",
-                               static_cast<double>(report.rounds));
-    fleet.metrics.emplace_back("makespan_us", report.makespan_us);
-    fleet.metrics.emplace_back("busy_us", report.busy_us);
-    fleet.metrics.emplace_back("throughput_rps", report.throughput_rps);
-    fleet.metrics.emplace_back("util_skew", report.util_skew);
-    fleet.metrics.emplace_back("p50_us", report.latency.p50);
-    fleet.metrics.emplace_back("p95_us", report.latency.p95);
-    fleet.metrics.emplace_back("p99_us", report.latency.p99);
-    fleet.metrics.emplace_back(
-        "routed", static_cast<double>(report.router.routed));
-    fleet.metrics.emplace_back(
-        "rerouted", static_cast<double>(report.router.rerouted));
-    fleet.metrics.emplace_back(
-        "failover_sheds",
-        static_cast<double>(report.router.failover_sheds()));
+    run.add_row("cluster")
+        .label("policy", to_string(report.policy))
+        .metric("arrivals", static_cast<double>(report.arrivals))
+        .metric("completed", static_cast<double>(report.completed))
+        .metric("deadline_miss", static_cast<double>(report.deadline_miss))
+        .metric("rejected", static_cast<double>(report.rejected))
+        .metric("timed_out", static_cast<double>(report.timed_out))
+        .metric("lost_in_flight",
+                static_cast<double>(report.lost_in_flight))
+        .metric("rounds", static_cast<double>(report.rounds))
+        .metric("makespan_us", report.makespan_us)
+        .metric("busy_us", report.busy_us)
+        .metric("throughput_rps", report.throughput_rps)
+        .metric("util_skew", report.util_skew)
+        .metric("p50_us", report.latency.p50)
+        .metric("p95_us", report.latency.p95)
+        .metric("p99_us", report.latency.p99)
+        .metric("routed", static_cast<double>(report.router.routed))
+        .metric("rerouted", static_cast<double>(report.router.rerouted))
+        .metric("failover_sheds",
+                static_cast<double>(report.router.failover_sheds()));
     for (std::size_t k = 0; k < report.replicas.size(); ++k) {
         const serve::ServeReport &rep = report.replicas[k];
-        prof::BenchRow &row = preset_row(run, "cluster_replica");
-        row.labels.emplace_back("replica", std::to_string(k));
-        row.metrics.emplace_back("offered",
-                                 static_cast<double>(
-                                     rep.admission.offered));
-        row.metrics.emplace_back("completed",
-                                 static_cast<double>(rep.completed));
-        row.metrics.emplace_back("rounds",
-                                 static_cast<double>(rep.rounds));
-        row.metrics.emplace_back("busy_us", rep.busy_us);
-        row.metrics.emplace_back("p99_us", rep.latency.p99);
-        row.metrics.emplace_back("util", report.replica_util[k]);
+        run.add_row("cluster_replica")
+            .label("replica", std::to_string(k))
+            .metric("offered", static_cast<double>(rep.admission.offered))
+            .metric("completed", static_cast<double>(rep.completed))
+            .metric("rounds", static_cast<double>(rep.rounds))
+            .metric("busy_us", rep.busy_us)
+            .metric("p99_us", rep.latency.p99)
+            .metric("util", report.replica_util[k]);
     }
     return run;
 }
@@ -631,11 +528,7 @@ run_bench_preset(const BenchPreset &preset,
     prof::BenchRun run = preset.run(device);
     run.name = std::string(preset.name) + "@" + device_name;
     run.manifest = prof::RunManifest::collect(device_name);
-    const PlanCacheStats stats = PlanCache::instance().stats();
-    prof::BenchRow &row = detail::preset_row(run, "plan_cache");
-    for (const PlanCacheMetricDef &metric : plan_cache_metric_registry()) {
-        row.metrics.emplace_back(metric.key, metric.get(stats));
-    }
+    append_plan_cache_row(run);
     return run;
 }
 

@@ -5,7 +5,6 @@
 
 #include "formats/bcoo.h"
 #include "formats/bsr.h"
-#include "formats/coo.h"
 #include "formats/csr.h"
 #include "formats/matrix.h"
 
@@ -21,10 +20,6 @@ CsrLayout csr_from_mask(const MaskMatrix &mask);
 
 /// Expands a CSR layout to a 0/1 mask.
 MaskMatrix mask_from_csr(const CsrLayout &layout);
-
-/// COO <-> CSR layout conversions. The COO must be normalized.
-CsrLayout csr_from_coo(const CooLayout &coo);
-CooLayout coo_from_csr(const CsrLayout &csr);
 
 /// Blockifies a CSR layout: every block x block tile containing at least
 /// one element becomes a stored block; the bitmap marks the real elements.

@@ -51,6 +51,23 @@ struct BenchRow {
     std::vector<std::pair<std::string, std::string>> labels;
     std::vector<std::pair<std::string, double>> metrics;
 
+    /// Chainable appenders:
+    /// `run.add_row("fig9").label("mode", m).metric("total_us", t)`.
+    BenchRow &
+    label(const std::string &key, const std::string &value)
+    {
+        labels.emplace_back(key, value);
+        return *this;
+    }
+    BenchRow &
+    metric(const std::string &key, double value)
+    {
+        metrics.emplace_back(key, value);
+        return *this;
+    }
+
+    bool operator==(const BenchRow &) const = default;
+
     /// Canonical row identity: "series|k=v|k=v" with labels sorted by
     /// key, so two rows match regardless of label emission order.
     std::string key() const;
@@ -64,6 +81,15 @@ struct BenchRun {
     std::string name;
     RunManifest manifest;
     std::vector<BenchRow> rows;
+
+    /// Appends an empty row of `series`; chain label()/metric() on it.
+    BenchRow &
+    add_row(const std::string &series)
+    {
+        rows.emplace_back();
+        rows.back().series = series;
+        return rows.back();
+    }
 
     std::string to_json() const;
     void write_json(JsonWriter &w) const;

@@ -915,53 +915,41 @@ serve_metric_registry()
 void
 append_serve_rows(prof::BenchRun &run, const ServeReport &report)
 {
-    prof::BenchRow serve;
-    serve.series = "serve";
-    serve.labels.emplace_back("preset", report.preset);
+    prof::BenchRow &serve =
+        run.add_row("serve").label("preset", report.preset);
     for (const ServeMetricDef &metric : serve_metric_registry()) {
-        serve.metrics.emplace_back(metric.key, metric.get(report));
+        serve.metric(metric.key, metric.get(report));
     }
-    run.rows.push_back(std::move(serve));
 
     for (int c = 0; c < kNumSloClasses; ++c) {
         const prof::LatencySummary &s = report.latency_by_class[c];
-        prof::BenchRow row;
-        row.series = "slo";
-        row.labels.emplace_back("class",
-                                to_string(static_cast<SloClass>(c)));
-        row.metrics.emplace_back("completed",
-                                 static_cast<double>(s.count));
-        row.metrics.emplace_back("p50_us", s.p50);
-        row.metrics.emplace_back("p95_us", s.p95);
-        row.metrics.emplace_back("p99_us", s.p99);
-        row.metrics.emplace_back("max_us", s.max);
-        run.rows.push_back(std::move(row));
+        run.add_row("slo")
+            .label("class", to_string(static_cast<SloClass>(c)))
+            .metric("completed", static_cast<double>(s.count))
+            .metric("p50_us", s.p50)
+            .metric("p95_us", s.p95)
+            .metric("p99_us", s.p99)
+            .metric("max_us", s.max);
     }
 
     for (const auto &[size, count] : report.batch_histogram) {
-        prof::BenchRow row;
-        row.series = "batch_hist";
-        row.labels.emplace_back("size", std::to_string(size));
-        row.metrics.emplace_back("count", static_cast<double>(count));
-        run.rows.push_back(std::move(row));
+        run.add_row("batch_hist")
+            .label("size", std::to_string(size))
+            .metric("count", static_cast<double>(count));
     }
 
     // Per-tenant ledger rows: the gate watches each tenant's charged
     // device time (lower is better) and its rate-limit shed count.
     for (const TenantCost &t : report.cost.tenants) {
-        prof::BenchRow row;
-        row.series = "tenant";
-        row.labels.emplace_back("tenant", t.tenant);
-        row.metrics.emplace_back("completed",
-                                 static_cast<double>(t.total.completed));
-        row.metrics.emplace_back(
-            "shed_ratelimit",
-            static_cast<double>(t.total.shed_ratelimit));
-        row.metrics.emplace_back("charged_us", t.total.device_us());
-        row.metrics.emplace_back("pad_us", t.total.pad_us);
-        row.metrics.emplace_back("queue_us", t.total.queue_us);
-        row.metrics.emplace_back("p99_us", t.latency.p99);
-        run.rows.push_back(std::move(row));
+        run.add_row("tenant")
+            .label("tenant", t.tenant)
+            .metric("completed", static_cast<double>(t.total.completed))
+            .metric("shed_ratelimit",
+                    static_cast<double>(t.total.shed_ratelimit))
+            .metric("charged_us", t.total.device_us())
+            .metric("pad_us", t.total.pad_us)
+            .metric("queue_us", t.total.queue_us)
+            .metric("p99_us", t.latency.p99);
     }
 }
 

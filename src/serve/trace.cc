@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -1120,39 +1119,6 @@ append_serve_tracks(JsonWriter &w, const TraceLog &log,
 }  // namespace
 
 void
-write_serve_trace(const TraceLog &log, std::ostream &os,
-                  const ServeTraceOptions &options)
-{
-    JsonWriter w(os);
-    w.begin_object();
-    w.field("displayTimeUnit", "ns");
-    w.key("traceEvents");
-    w.begin_array();
-    append_serve_tracks(w, log, options, TrackIds{});
-    w.end_array();
-    w.end_object();
-}
-
-std::string
-serve_trace_json(const TraceLog &log, const ServeTraceOptions &options)
-{
-    std::ostringstream os;
-    write_serve_trace(log, os, options);
-    return os.str();
-}
-
-void
-write_serve_trace_file(const TraceLog &log, const std::string &path,
-                       const ServeTraceOptions &options)
-{
-    std::ofstream file(path);
-    MG_CHECK(file.good()) << "cannot open trace file " << path;
-    write_serve_trace(log, file, options);
-    file.flush();
-    MG_CHECK(file.good()) << "failed writing trace file " << path;
-}
-
-void
 write_fleet_trace(const std::vector<FleetReplicaTrace> &replicas,
                   std::ostream &os, const ServeTraceOptions &options)
 {
@@ -1185,18 +1151,6 @@ fleet_trace_json(const std::vector<FleetReplicaTrace> &replicas,
     std::ostringstream os;
     write_fleet_trace(replicas, os, options);
     return os.str();
-}
-
-void
-write_fleet_trace_file(const std::vector<FleetReplicaTrace> &replicas,
-                       const std::string &path,
-                       const ServeTraceOptions &options)
-{
-    std::ofstream file(path);
-    MG_CHECK(file.good()) << "cannot open trace file " << path;
-    write_fleet_trace(replicas, file, options);
-    file.flush();
-    MG_CHECK(file.good()) << "failed writing trace file " << path;
 }
 
 }  // namespace multigrain::serve

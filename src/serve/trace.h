@@ -38,7 +38,7 @@
 ///    self-contained incident that serializes to JSON and replays —
 ///    parse the dump, rebuild the spans, get byte-for-byte the same
 ///    answer the live log gives;
-///  * write_serve_trace() renders the run as one correlated Perfetto
+///  * write_fleet_trace() renders the run as one correlated Perfetto
 ///    timeline: async request spans per tenant, batch-slot and round
 ///    lanes, serving counter tracks (queue depth, in-flight, sheds),
 ///    and — when per-round simulator capture is on — every round's
@@ -333,17 +333,6 @@ struct ServeTraceOptions {
     const TelemetryRecorder *telemetry = nullptr;
 };
 
-/// Renders the traced run as one Chrome/Perfetto timeline: async
-/// request spans (grouped per tenant), batch-slot and round lanes, the
-/// serving counter tracks, and the per-round gpusim replays under a
-/// second process, all on the shared serving clock.
-void write_serve_trace(const TraceLog &log, std::ostream &os,
-                       const ServeTraceOptions &options);
-std::string serve_trace_json(const TraceLog &log,
-                             const ServeTraceOptions &options = {});
-void write_serve_trace_file(const TraceLog &log, const std::string &path,
-                            const ServeTraceOptions &options = {});
-
 /// One replica's contribution to a fleet timeline (ISSUE 9). The label
 /// (e.g. "r0") prefixes the replica's process names, counter tracks and
 /// async categories so N replicas coexist in one Perfetto view; the
@@ -355,19 +344,17 @@ struct FleetReplicaTrace {
     std::string label;
 };
 
-/// Renders N replicas' event logs as one correlated timeline on the
-/// shared cluster clock: replica k's serving lanes run under pid 2k and
-/// its gpusim replays under pid 2k+1, every track name prefixed
-/// "<label>.". A single-replica fleet with an empty label is
-/// byte-identical to write_serve_trace of the same log.
+/// Renders N replicas' event logs as one correlated Chrome/Perfetto
+/// timeline on the shared serving clock: per replica, async request
+/// spans (grouped per tenant), batch-slot and round lanes and the
+/// serving counter tracks under pid 2k, and its per-round gpusim
+/// replays under pid 2k+1, every track name prefixed "<label>.". A
+/// single traced run is a one-replica fleet with an empty label.
 void write_fleet_trace(const std::vector<FleetReplicaTrace> &replicas,
                        std::ostream &os,
                        const ServeTraceOptions &options = {});
 std::string fleet_trace_json(const std::vector<FleetReplicaTrace> &replicas,
                              const ServeTraceOptions &options = {});
-void write_fleet_trace_file(const std::vector<FleetReplicaTrace> &replicas,
-                            const std::string &path,
-                            const ServeTraceOptions &options = {});
 
 }  // namespace multigrain::serve
 

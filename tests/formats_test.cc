@@ -11,7 +11,6 @@
 #include "formats/bcoo.h"
 #include "formats/bsr.h"
 #include "formats/convert.h"
-#include "formats/coo.h"
 #include "formats/csr.h"
 #include "formats/serialize.h"
 #include "formats/matrix.h"
@@ -112,43 +111,6 @@ TEST(CsrTest, MaskRoundTrip)
     const CsrLayout csr = csr_from_mask(mask);
     csr.validate();
     EXPECT_TRUE(masks_equal(mask, mask_from_csr(csr)));
-}
-
-// ----------------------------------------------------------------- COO ----
-
-TEST(CooTest, NormalizeSortsAndDedupes)
-{
-    CooLayout coo;
-    coo.rows = 4;
-    coo.cols = 4;
-    coo.entries = {{2, 1}, {0, 3}, {2, 1}, {0, 0}};
-    coo.normalize();
-    coo.validate();
-    ASSERT_EQ(coo.nnz(), 3);
-    EXPECT_EQ(coo.entries[0].row, 0);
-    EXPECT_EQ(coo.entries[0].col, 0);
-    EXPECT_EQ(coo.entries[2].row, 2);
-}
-
-TEST(CooTest, CsrRoundTrip)
-{
-    Rng rng(2);
-    const MaskMatrix mask = random_mask(rng, 17, 11, 0.3);
-    const CsrLayout csr = csr_from_mask(mask);
-    const CooLayout coo = coo_from_csr(csr);
-    coo.validate();
-    const CsrLayout back = csr_from_coo(coo);
-    EXPECT_EQ(back.row_offsets, csr.row_offsets);
-    EXPECT_EQ(back.col_indices, csr.col_indices);
-}
-
-TEST(CooTest, ValidateRejectsUnsorted)
-{
-    CooLayout coo;
-    coo.rows = 2;
-    coo.cols = 2;
-    coo.entries = {{1, 0}, {0, 0}};
-    EXPECT_THROW(coo.validate(), Error);
 }
 
 // ----------------------------------------------------------------- BSR ----

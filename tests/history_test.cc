@@ -55,13 +55,11 @@ sample_run(const std::string &name)
     BenchRun run;
     run.name = name;
     run.manifest = RunManifest::collect("a100");
-    BenchRow row;
-    row.series = "fig7";
-    row.labels.emplace_back("model", "Longformer-large");
-    row.labels.emplace_back("mode", "multigrain");
-    row.metrics.emplace_back("total_us", 1234.5);
-    row.metrics.emplace_back("dram_bytes", 2.5e9);
-    run.rows.push_back(row);
+    run.add_row("fig7")
+        .label("model", "Longformer-large")
+        .label("mode", "multigrain")
+        .metric("total_us", 1234.5)
+        .metric("dram_bytes", 2.5e9);
     return run;
 }
 

@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 
 #include "bench_util.h"
 #include "common/error.h"
 #include "gpusim/device.h"
+#include "profiler/export.h"
 #include "profiler/history.h"
 #include "profiler/regress.h"
 
@@ -84,6 +90,36 @@ TEST(PerturbTest, DeviceLookupByCliName)
     EXPECT_EQ(sim::device_spec_by_name("a100").name, "A100");
     EXPECT_EQ(sim::device_spec_by_name("rtx3090").name, "RTX3090");
     EXPECT_THROW(sim::device_spec_by_name("h100"), Error);
+}
+
+TEST(BenchArtifactTest, WrittenRunReparsesFromBenchDir)
+{
+    namespace fs = std::filesystem;
+    const fs::path dir =
+        fs::temp_directory_path() /
+        ("mg_bench_artifact_test_" + std::to_string(::getpid()));
+    fs::create_directories(dir);
+    prof::BenchRun run = bench::new_bench_run("roundtrip", "rtx3090");
+    run.add_row("fig9")
+        .label("pattern", "L+S")
+        .label("mode", "multigrain")
+        .metric("total_us", 1234.5678901234)
+        .metric("peak_hbm_bytes", 3.5e9);
+    run.add_row("plan_cache").metric("plan_cache.hits", 7);
+
+    ::setenv("MULTIGRAIN_BENCH_DIR", dir.c_str(), 1);
+    bench::write_bench_artifact(run);
+    ::unsetenv("MULTIGRAIN_BENCH_DIR");
+
+    std::ifstream file(dir / "BENCH_roundtrip.json");
+    ASSERT_TRUE(file.good());
+    const std::string text{std::istreambuf_iterator<char>(file), {}};
+    fs::remove_all(dir);
+    const prof::BenchRun back = prof::bench_run_from_json(text);
+
+    EXPECT_EQ(back.name, "roundtrip");
+    EXPECT_EQ(back.manifest.device, "rtx3090");
+    EXPECT_TRUE(back.rows == run.rows);
 }
 
 TEST(GateTest, PresetRegistryListsTheGatedFigures)

@@ -452,7 +452,8 @@ TEST(ServeTraceExportTest, EmitsCorrelatedTimeline)
     TraceConfig config;
     config.capture_sim = true;
     TracedRun run = traced_run("tiny", "a100", config);
-    const JsonValue doc = json_parse(serve_trace_json(run.log));
+    const JsonValue doc =
+        json_parse(fleet_trace_json({{&run.log, nullptr, ""}}));
     const auto &events = doc.at("traceEvents").array;
     ASSERT_FALSE(events.empty());
 
@@ -480,7 +481,8 @@ TEST(ServeTraceExportTest, EmitsCorrelatedTimeline)
 TEST(ServeTraceExportTest, AsyncSpansBalance)
 {
     TracedRun run = traced_run("overload", "a100");
-    const JsonValue doc = json_parse(serve_trace_json(run.log));
+    const JsonValue doc =
+        json_parse(fleet_trace_json({{&run.log, nullptr, ""}}));
     std::size_t begins = 0, ends = 0;
     for (const JsonValue &e : doc.at("traceEvents").array) {
         const std::string &ph = e.at("ph").as_string();
