@@ -102,6 +102,12 @@ default_metric_policy(const std::string &key)
     if (key == "plan_cache.misses" || key == "plan_cache.evictions") {
         return {Direction::kLowerIsBetter, 0.0, 0.25};
     }
+    // Engine work counters (gpusim/engine.h) are a pure function of the
+    // submitted launches, so one extra simulated unit or event is a real
+    // change in how much the engine simulates.
+    if (key.rfind("gpusim.", 0) == 0) {
+        return {Direction::kLowerIsBetter, 0.0, 0.25};
+    }
     // Serving counters (mgserve rows): gpusim-backed serving runs are
     // deterministic, so shed/timeout/deadline counts are exact — one
     // extra shed request is a real admission or scheduling change.

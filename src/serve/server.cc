@@ -321,6 +321,7 @@ Server::dispatch_round(double now_us, std::int64_t round_id,
         memo = round_results_.emplace(std::move(composition), sim.run())
                    .first;
         ++round_sims_;
+        engine_.add(memo->second.counters);
     } else {
         // The same layer-graph lookups the replay makes, so plan-cache
         // hit/miss counters do not depend on the memo.
@@ -722,6 +723,7 @@ Server::finish(double now_us)
     report.rounds = rounds_;
     report.round_sims = round_sims_;
     report.round_sim_hits = round_sim_hits_;
+    report.engine = engine_;
     report.busy_us = busy_accum_us_;
     report.admission = queue_->stats();
     report.round_hbm_bytes = std::move(round_bytes_);

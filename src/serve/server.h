@@ -103,6 +103,8 @@ struct ServeReport {
     /// together they are `rounds`.
     int round_sims = 0;
     int round_sim_hits = 0;
+    /// Engine work of the simulated rounds (memo hits add none).
+    sim::EngineCounters engine;
     std::uint64_t completed = 0;
     std::uint64_t deadline_miss = 0;
     /// Requests lost in flight when this replica was killed (ISSUE 9);
@@ -262,6 +264,7 @@ class Server {
     std::map<std::string, sim::SimResult> round_results_;
     int round_sims_ = 0;
     int round_sim_hits_ = 0;
+    sim::EngineCounters engine_;
     /// Per-round projected byte watermarks, moved into the report.
     std::vector<std::uint64_t> round_bytes_;
     std::vector<InFlightBatch> in_flight_;

@@ -191,6 +191,18 @@ TEST(GateTest, MemoryMetricsGateExactly)
               prof::Direction::kInformational);
 }
 
+TEST(GateTest, EngineCountersGateExactly)
+{
+    // Units and events repeat exactly for the same launches: one more is
+    // engine work, not noise.
+    for (const char *key : {"gpusim.units", "gpusim.events"}) {
+        const prof::MetricPolicy policy = prof::default_metric_policy(key);
+        EXPECT_EQ(policy.direction, prof::Direction::kLowerIsBetter) << key;
+        EXPECT_DOUBLE_EQ(policy.rel_tol, 0.0) << key;
+        EXPECT_LT(policy.abs_tol, 1.0) << key;
+    }
+}
+
 TEST(GateTest, GrownFootprintFailsTheGate)
 {
     // The in-process half of CI's memory self-test (--perturb-mem runs
