@@ -44,14 +44,24 @@ run_all()
 {
     for (const sim::DeviceSpec &device :
          {sim::DeviceSpec::a100(), sim::DeviceSpec::rtx3090()}) {
+        // Batch 1 is Fig. 7's first sample: take it from Fig. 7's runner.
+        bench::for_each_fig7_run(
+            device, 1,
+            [&](const ModelConfig &model, SliceMode mode,
+                const TransformerRunner &, const EndToEndResult &r) {
+                g_total_us[{device.name, model.name, 1,
+                            static_cast<int>(mode)}] = r.total_us;
+            });
         for (const ModelConfig &model :
              {ModelConfig::longformer_large(), ModelConfig::qds_base()}) {
-            // Same input as Fig. 7's first sample, so the batch-1 rows of
-            // the two figures line up.
+            // The same input at the larger batches.
             Rng sample_rng(2022);
             const WorkloadSample sample =
                 sample_for_model(sample_rng, model);
             for (const index_t batch : kBatches) {
+                if (batch == 1) {
+                    continue;
+                }
                 for (const SliceMode mode :
                      {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
                       SliceMode::kFineOnly}) {
