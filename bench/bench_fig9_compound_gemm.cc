@@ -21,18 +21,6 @@ namespace {
 
 using namespace multigrain;
 
-/// The preset's row for one pattern × mode; throws when absent.
-const prof::BenchRow &
-times(const prof::BenchRun &run, const std::string &pattern, SliceMode mode)
-{
-    prof::BenchRow probe;
-    probe.series = "fig9";
-    probe.label("pattern", pattern).label("mode", to_string(mode));
-    const prof::BenchRow *row = run.find_row(probe.key());
-    MG_CHECK(row != nullptr) << run.name << " has no row " << probe.key();
-    return *row;
-}
-
 void
 print_table(const prof::BenchRun &run)
 {
@@ -45,9 +33,12 @@ print_table(const prof::BenchRun &run)
     // Preserve the paper's pattern order.
     const auto patterns = fig9_patterns(4096, 0.05, 2022);
     for (const auto &[label, pattern] : patterns) {
-        const prof::BenchRow &mg = times(run, label, SliceMode::kMultigrain);
-        const prof::BenchRow &tr = times(run, label, SliceMode::kCoarseOnly);
-        const prof::BenchRow &sp = times(run, label, SliceMode::kFineOnly);
+        const prof::BenchRow &mg =
+            bench::fig9_row(run, label, SliceMode::kMultigrain);
+        const prof::BenchRow &tr =
+            bench::fig9_row(run, label, SliceMode::kCoarseOnly);
+        const prof::BenchRow &sp =
+            bench::fig9_row(run, label, SliceMode::kFineOnly);
         const auto ratio = [](const prof::BenchRow &base,
                               const prof::BenchRow &ours, const char *key) {
             return bench::fmt_speedup(bench::metric(base, key) /
@@ -67,7 +58,7 @@ print_table(const prof::BenchRun &run)
         for (const SliceMode mode :
              {SliceMode::kMultigrain, SliceMode::kCoarseOnly,
               SliceMode::kFineOnly}) {
-            const prof::BenchRow &t = times(run, label, mode);
+            const prof::BenchRow &t = bench::fig9_row(run, label, mode);
             std::printf("%-8s %-12s %10.1f %10.1f %10.1f\n", label.c_str(),
                         to_string(mode), bench::metric(t, "sddmm_us"),
                         bench::metric(t, "softmax_us"),
