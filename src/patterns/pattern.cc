@@ -381,64 +381,4 @@ CompoundPattern::describe() const
     return os.str();
 }
 
-CsrLayout
-build_full_layout(const CompoundPattern &pattern)
-{
-    std::vector<const AtomicPattern *> all;
-    all.reserve(pattern.atoms.size());
-    for (const auto &atom : pattern.atoms) {
-        all.push_back(&atom);
-    }
-    return build_union_layout(pattern, all, {});
-}
-
-CsrLayout
-build_union_layout(const CompoundPattern &pattern,
-                   const std::vector<const AtomicPattern *> &atoms,
-                   const std::vector<index_t> &exclude_rows)
-{
-    MG_CHECK(pattern.seq_len > 0) << "compound pattern needs seq_len > 0";
-    const index_t valid_len = pattern.effective_valid_len();
-    MG_CHECK(valid_len <= pattern.seq_len)
-        << "valid_len " << valid_len << " exceeds seq_len "
-        << pattern.seq_len;
-
-    if (pattern.causal) {
-        for (const AtomicPattern *atom : atoms) {
-            MG_CHECK(!atom->is_special())
-                << "causal patterns cannot contain global (one-to-all) "
-                << "atoms";
-        }
-    }
-
-    CsrLayout out;
-    out.rows = pattern.seq_len;
-    out.cols = pattern.seq_len;
-    out.row_offsets.reserve(static_cast<std::size_t>(pattern.seq_len + 1));
-    out.row_offsets.push_back(0);
-
-    std::vector<index_t> cols;
-    for (index_t r = 0; r < pattern.seq_len; ++r) {
-        const bool excluded = std::binary_search(exclude_rows.begin(),
-                                                 exclude_rows.end(), r);
-        if (!excluded) {
-            cols.clear();
-            for (const AtomicPattern *atom : atoms) {
-                atom->append_row_columns(pattern.seq_len, valid_len, r, cols);
-            }
-            std::sort(cols.begin(), cols.end());
-            cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
-            if (pattern.causal) {
-                cols.erase(std::upper_bound(cols.begin(), cols.end(), r),
-                           cols.end());
-            }
-            out.col_indices.insert(out.col_indices.end(), cols.begin(),
-                                   cols.end());
-        }
-        out.row_offsets.push_back(
-            static_cast<index_t>(out.col_indices.size()));
-    }
-    return out;
-}
-
 }  // namespace multigrain

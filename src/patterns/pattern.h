@@ -116,14 +116,8 @@ struct CompoundPattern {
 /// Builds the union layout of every atom (global rows fully dense). This is
 /// the ground-truth attention pattern: every method (Multigrain, coarse-only
 /// baseline, fine-only baseline) must attend exactly these positions.
+/// Defined with the slice-and-dice row sweep in slice.cc.
 CsrLayout build_full_layout(const CompoundPattern &pattern);
-
-/// Builds the union layout of a subset of atoms, skipping the rows listed
-/// in `exclude_rows` (sorted). Used by the classifier to carve global rows
-/// out of the coarse and fine parts.
-CsrLayout build_union_layout(const CompoundPattern &pattern,
-                             const std::vector<const AtomicPattern *> &atoms,
-                             const std::vector<index_t> &exclude_rows);
 
 }  // namespace multigrain
 

@@ -201,49 +201,6 @@ TEST(BcooTest, ValidateRejectsDuplicates)
     EXPECT_THROW(bcoo.validate(), Error);
 }
 
-// ------------------------------------------------------ set operations ----
-
-TEST(SetOpsTest, UnionAndDifferencePartition)
-{
-    Rng rng(5);
-    const MaskMatrix ma = random_mask(rng, 20, 20, 0.2);
-    const MaskMatrix mb = random_mask(rng, 20, 20, 0.2);
-    const CsrLayout a = csr_from_mask(ma);
-    const CsrLayout b = csr_from_mask(mb);
-    const CsrLayout u = csr_union(a, b);
-    const CsrLayout a_only = csr_difference(a, b);
-    const CsrLayout b_only = csr_difference(b, a);
-    u.validate();
-    a_only.validate();
-    b_only.validate();
-    // |A ∪ B| = |A\B| + |B\A| + |A ∩ B| and inclusion-exclusion holds.
-    const index_t inter = a.nnz() - a_only.nnz();
-    EXPECT_EQ(b.nnz() - b_only.nnz(), inter);
-    EXPECT_EQ(u.nnz(), a_only.nnz() + b_only.nnz() + inter);
-    // Union differenced by b gives exactly a \ b.
-    const CsrLayout u_minus_b = csr_difference(u, b);
-    EXPECT_EQ(u_minus_b.col_indices, a_only.col_indices);
-}
-
-TEST(SetOpsTest, DifferenceWithSelfIsEmpty)
-{
-    Rng rng(6);
-    const CsrLayout a = csr_from_mask(random_mask(rng, 10, 10, 0.5));
-    EXPECT_EQ(csr_difference(a, a).nnz(), 0);
-    EXPECT_EQ(csr_union(a, a).nnz(), a.nnz());
-}
-
-TEST(SetOpsTest, ShapeMismatchThrows)
-{
-    CsrLayout a, b;
-    a.rows = b.rows = 2;
-    a.cols = 3;
-    b.cols = 4;
-    a.row_offsets = {0, 0, 0};
-    b.row_offsets = {0, 0, 0};
-    EXPECT_THROW(csr_union(a, b), Error);
-}
-
 // ----------------------------------------------------- value transport ----
 
 TEST(ValuesTest, GatherCsrThenDenseRecoversMaskedMatrix)

@@ -258,18 +258,6 @@ TEST(CompoundTest, ValidLenClipsEverything)
     }
 }
 
-TEST(CompoundTest, ExcludeRowsLeavesThemEmpty)
-{
-    CompoundPattern p;
-    p.seq_len = 16;
-    p.atoms.push_back(AtomicPattern::local(2));
-    std::vector<const AtomicPattern *> atoms = {&p.atoms[0]};
-    const CsrLayout l = build_union_layout(p, atoms, {3, 7});
-    EXPECT_EQ(l.row_nnz(3), 0);
-    EXPECT_EQ(l.row_nnz(7), 0);
-    EXPECT_GT(l.row_nnz(4), 0);
-}
-
 TEST(CompoundTest, DescribeMentionsEveryAtom)
 {
     CompoundPattern p;
