@@ -8,54 +8,21 @@
 
 namespace multigrain {
 
-int
-LaunchGraph::create_stream()
-{
-    stream_tail_.push_back(-1);
-    return num_streams_++;
-}
-
 void
 LaunchGraph::launch(int stream, sim::KernelLaunch launch)
 {
-    MG_CHECK(stream >= 0 && stream < num_streams_)
-        << "unknown logical stream " << stream;
-
     LaunchGraphNode node;
+    node.deps = order_.launch(stream);
     node.launch = std::move(launch);
     node.stream = stream;
-    if (stream_tail_[static_cast<std::size_t>(stream)] >= 0) {
-        node.deps.push_back(stream_tail_[static_cast<std::size_t>(stream)]);
-    }
-    if (static_cast<std::size_t>(stream) >= join_applied_.size()) {
-        join_applied_.resize(static_cast<std::size_t>(num_streams_), false);
-    }
-    if (!join_set_.empty() &&
-        !join_applied_[static_cast<std::size_t>(stream)]) {
-        node.deps.insert(node.deps.end(), join_set_.begin(),
-                         join_set_.end());
-        join_applied_[static_cast<std::size_t>(stream)] = true;
-    }
-    std::sort(node.deps.begin(), node.deps.end());
-    node.deps.erase(std::unique(node.deps.begin(), node.deps.end()),
-                    node.deps.end());
-
-    const int id = static_cast<int>(nodes_.size());
-    ops_.push_back(id);
-    stream_tail_[static_cast<std::size_t>(stream)] = id;
+    ops_.push_back(static_cast<int>(nodes_.size()));
     nodes_.push_back(std::move(node));
 }
 
 void
 LaunchGraph::join_streams()
 {
-    join_set_.clear();
-    for (int s = 0; s < num_streams_; ++s) {
-        if (stream_tail_[static_cast<std::size_t>(s)] >= 0) {
-            join_set_.push_back(stream_tail_[static_cast<std::size_t>(s)]);
-        }
-    }
-    join_applied_.assign(static_cast<std::size_t>(num_streams_), false);
+    order_.join_streams();
     ops_.push_back(kJoin);
 }
 
@@ -92,7 +59,7 @@ LaunchGraph::validate() const
         << " nodes";
     for (std::size_t i = 0; i < nodes_.size(); ++i) {
         const LaunchGraphNode &node = nodes_[i];
-        MG_CHECK(node.stream >= 0 && node.stream < num_streams_)
+        MG_CHECK(node.stream >= 0 && node.stream < num_streams())
             << "node " << i << " on unknown stream " << node.stream;
         for (const int dep : node.deps) {
             MG_CHECK(dep >= 0 && static_cast<std::size_t>(dep) < i)
@@ -146,13 +113,13 @@ LaunchGraph::append(const LaunchGraph &other,
     std::vector<int> map;
     if (stream_map != nullptr) {
         MG_CHECK(static_cast<int>(stream_map->size()) >=
-                 other.num_streams_)
+                 other.num_streams())
             << "stream map covers " << stream_map->size() << " of "
-            << other.num_streams_ << " logical streams";
+            << other.num_streams() << " logical streams";
         map = *stream_map;
     } else {
         map.push_back(0);
-        while (static_cast<int>(map.size()) < other.num_streams_) {
+        while (static_cast<int>(map.size()) < other.num_streams()) {
             map.push_back(create_stream());
         }
     }
@@ -192,9 +159,8 @@ LaunchGraph::replay_into(sim::GpuSim &sim, std::vector<int> &binding,
     }
     // Allocate real streams for every logical stream up front, in logical
     // order, so the instantiated stream numbering is independent of which
-    // streams the graph's nodes happen to touch first (and matches the
-    // eager allocation the imperative path performed).
-    while (static_cast<int>(binding.size()) < num_streams_) {
+    // streams the graph's nodes happen to touch first.
+    while (static_cast<int>(binding.size()) < num_streams()) {
         binding.push_back(sim.create_stream());
     }
     for (const int op : ops_) {

@@ -15,44 +15,15 @@
 /// exact kernel sequence, its stream assignments, and its dependency
 /// structure are a pure function of (pattern, config, mode, device) — so
 /// they are captured once into a LaunchGraph and replayed (CUDA-Graph
-/// style) into any number of simulators, under any name prefix, instead of
-/// being re-recorded imperatively on every step.
+/// style) into any number of simulators, under any name prefix. Replay is
+/// the only way a plan reaches a simulator.
 ///
-/// A graph is captured through the same launch/join API GpuSim exposes
-/// (LaunchSink), so the phase builders in core/attention.cc are written
-/// once and can either record into a graph or — for the equivalence tests
-/// that pin replay against the pre-capture behavior — drive a simulator
-/// directly through GpuSimSink.
+/// A graph is captured through the same create_stream/launch/join_streams
+/// API GpuSim exposes, and both derive their dependency edges from one
+/// rule, sim::StreamOrder: stream 0 always exists, kernels on one stream
+/// serialize, and join_streams() makes the next kernel on any stream wait
+/// for everything submitted so far.
 namespace multigrain {
-
-/// The recording interface shared by LaunchGraph (capture) and GpuSimSink
-/// (direct imperative planning). Semantics match sim::GpuSim: stream 0
-/// always exists, kernels on one stream serialize, join_streams() makes
-/// the next kernel on any stream wait for everything submitted so far.
-class LaunchSink {
-  public:
-    virtual ~LaunchSink() = default;
-    virtual int create_stream() = 0;
-    virtual void launch(int stream, sim::KernelLaunch launch) = 0;
-    virtual void join_streams() = 0;
-};
-
-/// Forwards straight to a GpuSim — the pre-LaunchGraph imperative path,
-/// kept as the reference the replay-equivalence property tests compare
-/// against.
-class GpuSimSink final : public LaunchSink {
-  public:
-    explicit GpuSimSink(sim::GpuSim &sim) : sim_(sim) {}
-    int create_stream() override { return sim_.create_stream(); }
-    void launch(int stream, sim::KernelLaunch launch) override
-    {
-        sim_.launch(stream, std::move(launch));
-    }
-    void join_streams() override { sim_.join_streams(); }
-
-  private:
-    sim::GpuSim &sim_;
-};
 
 /// One node: a kernel launch on a logical stream, plus the graph-local
 /// dependency edges (indices of earlier nodes) implied by stream order and
@@ -65,17 +36,17 @@ struct LaunchGraphNode {
     std::vector<int> deps;   ///< Sorted, deduplicated, each < own index.
 };
 
-class LaunchGraph final : public LaunchSink {
+class LaunchGraph final {
   public:
-    // ---- Capture (LaunchSink) -------------------------------------------
+    // ---- Capture --------------------------------------------------------
     /// Logical streams are small integers; stream 0 always exists and, by
     /// convention, replays onto the target simulator's stream 0.
-    int create_stream() override;
-    void launch(int stream, sim::KernelLaunch launch) override;
-    void join_streams() override;
+    int create_stream() { return order_.create_stream(); }
+    void launch(int stream, sim::KernelLaunch launch);
+    void join_streams();
 
     // ---- Introspection --------------------------------------------------
-    int num_streams() const { return num_streams_; }
+    int num_streams() const { return order_.num_streams(); }
     std::size_t size() const { return nodes_.size(); }
     bool empty() const { return nodes_.empty(); }
     const std::vector<LaunchGraphNode> &nodes() const { return nodes_; }
@@ -149,13 +120,7 @@ class LaunchGraph final : public LaunchSink {
     }
 
   private:
-    // Capture state, mirroring GpuSim's stream bookkeeping so the edges
-    // recorded here equal the ones the simulator would compute.
-    int num_streams_ = 1;
-    std::vector<int> stream_tail_ = {-1};  ///< Last node per stream.
-    std::vector<int> join_set_;       ///< Stream tails of the last join.
-    std::vector<bool> join_applied_;  ///< Per stream: join already waited.
-
+    sim::StreamOrder order_;
     std::vector<LaunchGraphNode> nodes_;
     std::vector<int> ops_;
     /// Fresh plan-local buffer namespaces handed out by append() when the

@@ -128,57 +128,17 @@ engine_counter_registry()
 GpuSim::GpuSim(DeviceSpec device) : device_(std::move(device))
 {
     MG_CHECK(device_.num_sms > 0) << "device needs at least one SM";
-    static std::uint64_t next_id = 0;
-    id_ = ++next_id;
-    stream_tail_.assign(1, -1);
-}
-
-int
-GpuSim::create_stream()
-{
-    stream_tail_.push_back(-1);
-    return num_streams_++;
 }
 
 void
 GpuSim::launch(int stream, KernelLaunch launch)
 {
-    MG_CHECK(stream >= 0 && stream < num_streams_)
-        << "unknown stream " << stream;
     MG_CHECK(!ran_) << "GpuSim::run() was already called";
-
     KernelNode node;
+    node.deps = order_.launch(stream);
     node.launch = std::move(launch);
     node.stream = stream;
-    if (stream_tail_[static_cast<std::size_t>(stream)] >= 0) {
-        node.deps.push_back(stream_tail_[static_cast<std::size_t>(stream)]);
-    }
-    if (static_cast<std::size_t>(stream) >= join_applied_.size()) {
-        join_applied_.resize(static_cast<std::size_t>(num_streams_), false);
-    }
-    if (!join_set_.empty() &&
-        !join_applied_[static_cast<std::size_t>(stream)]) {
-        // First kernel on this stream since the last join: wait for every
-        // stream tail recorded at join time (duplicates are removed later).
-        node.deps.insert(node.deps.end(), join_set_.begin(),
-                         join_set_.end());
-        join_applied_[static_cast<std::size_t>(stream)] = true;
-    }
-    const int id = static_cast<int>(kernels_.size());
     kernels_.push_back(std::move(node));
-    stream_tail_[static_cast<std::size_t>(stream)] = id;
-}
-
-void
-GpuSim::join_streams()
-{
-    join_set_.clear();
-    for (int s = 0; s < num_streams_; ++s) {
-        if (stream_tail_[static_cast<std::size_t>(s)] >= 0) {
-            join_set_.push_back(stream_tail_[static_cast<std::size_t>(s)]);
-        }
-    }
-    join_applied_.assign(static_cast<std::size_t>(num_streams_), false);
 }
 
 namespace {
@@ -518,10 +478,7 @@ GpuSim::run()
 
     const int num_kernels = static_cast<int>(kernels_.size());
     for (int k = 0; k < num_kernels; ++k) {
-        KernelNode &node = kernels_[static_cast<std::size_t>(k)];
-        std::sort(node.deps.begin(), node.deps.end());
-        node.deps.erase(std::unique(node.deps.begin(), node.deps.end()),
-                        node.deps.end());
+        const KernelNode &node = kernels_[static_cast<std::size_t>(k)];
         for (const int dep : node.deps) {
             MG_CHECK(dep >= 0 && dep < k) << "kernel dependency cycle";
             kernels_[static_cast<std::size_t>(dep)].children.push_back(k);

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "gpusim/device.h"
@@ -149,38 +148,21 @@ class GpuSim {
 
     const DeviceSpec &device() const { return device_; }
 
-    /// Process-unique identity of this simulator instance. Pointer
-    /// comparison is not a safe identity for caching (a new simulator can
-    /// reuse a destroyed one's address); cache against this id instead.
-    std::uint64_t id() const { return id_; }
-
     /// Streams are small integers; stream 0 always exists.
-    int create_stream();
+    int create_stream() { return order_.create_stream(); }
 
     /// Enqueues a kernel on `stream`, ordered after everything previously
-    /// launched on that stream (plus any pending join).
+    /// launched on that stream (plus any pending join; see StreamOrder).
     void launch(int stream, KernelLaunch launch);
 
     /// The next kernel launched on *any* stream will additionally wait for
     /// every kernel submitted so far (device-wide synchronization point in
     /// the recorded program, like an event barrier across streams).
-    void join_streams();
+    void join_streams() { order_.join_streams(); }
 
     /// Simulates everything submitted so far, one quiescent segment at a
     /// time (see above). May be called once.
     SimResult run();
-
-    /// Stream-binding slot for capture/replay clients (core/launch_graph):
-    /// the logical→real stream map a client (keyed by an arbitrary id, e.g.
-    /// an AttentionEngine's replay key) uses when instantiating graphs into
-    /// *this* simulator. The binding lives with the simulator, so a
-    /// logically-const client can plan into two sims concurrently without
-    /// mutable per-sim state of its own aliasing between them. Returns an
-    /// empty vector on first use; the replay path fills it.
-    std::vector<int> &stream_binding(std::uint64_t client_key)
-    {
-        return stream_bindings_[client_key];
-    }
 
   private:
     struct KernelNode {
@@ -210,13 +192,8 @@ class GpuSim {
                                      EngineCounters &total) const;
 
     DeviceSpec device_;
-    std::uint64_t id_ = 0;
-    int num_streams_ = 1;
-    std::vector<int> stream_tail_;  ///< Last kernel id per stream, -1 none.
-    std::vector<int> join_set_;     ///< Stream tails the last join covers.
-    std::vector<bool> join_applied_;  ///< Per stream: join already waited.
+    StreamOrder order_;
     std::vector<KernelNode> kernels_;
-    std::unordered_map<std::uint64_t, std::vector<int>> stream_bindings_;
     bool ran_ = false;
 };
 

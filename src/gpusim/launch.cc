@@ -161,6 +161,47 @@ KernelLaunch::add_tb(const TbWork &work, index_t count)
 }
 
 int
+StreamOrder::create_stream()
+{
+    tail_.push_back(-1);
+    join_applied_.push_back(false);
+    return num_streams() - 1;
+}
+
+std::vector<int>
+StreamOrder::launch(int stream)
+{
+    MG_CHECK(stream >= 0 && stream < num_streams())
+        << "unknown stream " << stream;
+    const auto s = static_cast<std::size_t>(stream);
+    std::vector<int> deps;
+    if (tail_[s] >= 0) {
+        deps.push_back(tail_[s]);
+    }
+    if (!join_set_.empty() && !join_applied_[s]) {
+        deps.insert(deps.end(), join_set_.begin(), join_set_.end());
+        join_applied_[s] = true;
+        std::sort(deps.begin(), deps.end());
+        deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
+    }
+    tail_[s] = next_;
+    ++next_;
+    return deps;
+}
+
+void
+StreamOrder::join_streams()
+{
+    join_set_.clear();
+    for (const int tail : tail_) {
+        if (tail >= 0) {
+            join_set_.push_back(tail);
+        }
+    }
+    join_applied_.assign(tail_.size(), false);
+}
+
+int
 occupancy_per_sm(const DeviceSpec &device, const TbShape &shape)
 {
     MG_CHECK(shape.threads > 0) << "TB must have threads";

@@ -307,7 +307,7 @@ TEST(EngineBackwardTest, PlanHasThreeOrderedPhases)
     const AttentionEngine engine(test_pattern(256), config,
                                  SliceMode::kMultigrain);
     sim::GpuSim sim(sim::DeviceSpec::a100());
-    engine.plan_backward_into(sim);
+    engine.backward_graph(sim.device())->replay_into(sim);
     const sim::SimResult r = sim.run();
 
     double sddmm_end = 0, softmax_start = 1e30, softmax_end = 0,
@@ -341,7 +341,7 @@ TEST(EngineBackwardTest, BackwardCostsMoreThanForward)
                                  SliceMode::kMultigrain);
     const double fwd = engine.simulate(sim::DeviceSpec::a100()).total_us;
     sim::GpuSim sim(sim::DeviceSpec::a100());
-    engine.plan_backward_into(sim);
+    engine.backward_graph(sim.device())->replay_into(sim);
     const double bwd = sim.run().total_us;
     // Backward does roughly 2-3x the forward's sparse work.
     EXPECT_GT(bwd, fwd);
