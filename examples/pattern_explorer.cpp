@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/attention.h"
-#include "core/planner.h"
 #include "gpusim/device.h"
 #include "patterns/presets.h"
 #include "patterns/stats.h"
@@ -142,13 +141,5 @@ main(int argc, char **argv)
 
     const PatternStats stats = analyze_pattern(pattern, config.block);
     std::printf("\nanalytics: %s\n", stats.summarize().c_str());
-
-    const PlanDecision decision =
-        plan_attention(pattern, config, sim::DeviceSpec::a100());
-    std::printf("\nauto-planner (A100) recommends: %s\n",
-                decision.best.describe().c_str());
-    for (const PlanCandidate &c : decision.candidates) {
-        std::printf("  candidate %s\n", c.describe().c_str());
-    }
     return 0;
 }
