@@ -24,6 +24,24 @@ enum class Bound {
 
 const char *to_string(Bound bound);
 
+/// A kernel or phase is bound by its highest-utilization resource when
+/// that utilization reaches this fraction of peak, else latency-bound.
+inline constexpr double kBoundThreshold = 0.6;
+
+/// The roofline classifier shared by kernel characterization and the
+/// profiler's carved phases: the achieved fraction of each of `device`'s
+/// peaks when `work` is done over `span_us`, and the bound that follows.
+/// All utilizations are zero (latency-bound) when span_us is not positive.
+struct Roofline {
+    double tensor_util = 0;
+    double cuda_util = 0;
+    double dram_util = 0;
+    double l2_util = 0;
+    Bound bound = Bound::kLatency;
+};
+Roofline roofline(const TbWork &work, double span_us,
+                  const DeviceSpec &device);
+
 struct KernelCharacterization {
     std::string name;
     double duration_us = 0;
@@ -52,13 +70,10 @@ struct WorkloadReport {
     }
 };
 
-/// Characterizes every kernel of `result` against `device`. A kernel is
-/// classified as bound by the resource with the highest utilization if
-/// that utilization exceeds `bound_threshold` (default 60 %), else
-/// latency-bound.
+/// Characterizes every kernel of `result` against `device`, each over its
+/// own duration (see roofline()).
 WorkloadReport characterize(const SimResult &result,
-                            const DeviceSpec &device,
-                            double bound_threshold = 0.6);
+                            const DeviceSpec &device);
 
 /// Prints the report as a fixed-width table (top `max_kernels` kernels by
 /// duration, plus totals).

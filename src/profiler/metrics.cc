@@ -96,8 +96,7 @@ struct Accum {
         weighted_occupancy += frac * k.duration_us();
     }
 
-    PhaseStats finish(const sim::DeviceSpec &device,
-                      double bound_threshold) const
+    PhaseStats finish(const sim::DeviceSpec &device) const
     {
         PhaseStats out = stats;
         if (out.kernel_count == 0) {
@@ -109,46 +108,24 @@ struct Accum {
         out.overlap = out.span_us > 0 ? out.busy_us / out.span_us : 0;
         out.achieved_occupancy =
             out.busy_us > 0 ? weighted_occupancy / out.busy_us : 0;
-
-        if (out.span_us > 0) {
-            const double tensor_peak =
-                device.sm_tensor_flops_per_us() * device.num_sms;
-            const double cuda_peak =
-                device.sm_cuda_flops_per_us() * device.num_sms;
-            const double dram_peak = device.dram_bytes_per_us();
-            const double l2_peak = device.l2_bytes_per_us();
-            out.tensor_util =
-                out.work.tensor_flops / (tensor_peak * out.span_us);
-            out.cuda_util = out.work.cuda_flops / (cuda_peak * out.span_us);
-            out.dram_util =
-                out.work.dram_bytes() / (dram_peak * out.span_us);
-            out.l2_util = out.work.mem_bytes() / (l2_peak * out.span_us);
-        }
-        const double utils[4] = {out.tensor_util, out.cuda_util,
-                                 out.dram_util, out.l2_util};
-        const sim::Bound bounds[4] = {sim::Bound::kTensor,
-                                      sim::Bound::kCuda, sim::Bound::kDram,
-                                      sim::Bound::kL2};
-        int best = 0;
-        for (int i = 1; i < 4; ++i) {
-            if (utils[i] > utils[best]) {
-                best = i;
-            }
-        }
-        out.bound = utils[best] >= bound_threshold ? bounds[best]
-                                                   : sim::Bound::kLatency;
+        const sim::Roofline r = sim::roofline(out.work, out.span_us, device);
+        out.tensor_util = r.tensor_util;
+        out.cuda_util = r.cuda_util;
+        out.dram_util = r.dram_util;
+        out.l2_util = r.l2_util;
+        out.bound = r.bound;
         return out;
     }
 };
 
 std::vector<PhaseStats>
 finish_groups(const std::map<std::string, Accum> &groups,
-              const sim::DeviceSpec &device, double bound_threshold)
+              const sim::DeviceSpec &device)
 {
     std::vector<PhaseStats> out;
     out.reserve(groups.size());
     for (const auto &[name, accum] : groups) {
-        PhaseStats stats = accum.finish(device, bound_threshold);
+        PhaseStats stats = accum.finish(device);
         stats.name = name;
         out.push_back(std::move(stats));
     }
@@ -192,7 +169,7 @@ ProfiledRun::find_layer(const std::string &name) const
 
 PhaseStats
 carve_prefix(const sim::SimResult &result, const sim::DeviceSpec &device,
-             const std::string &prefix, double bound_threshold)
+             const std::string &prefix)
 {
     Accum accum;
     for (const auto &k : result.kernels) {
@@ -200,7 +177,7 @@ carve_prefix(const sim::SimResult &result, const sim::DeviceSpec &device,
             accum.add(k, device);
         }
     }
-    PhaseStats stats = accum.finish(device, bound_threshold);
+    PhaseStats stats = accum.finish(device);
     stats.name = prefix;
     return stats;
 }
@@ -213,7 +190,7 @@ profile(const sim::SimResult &result, const sim::DeviceSpec &device,
     run.device = device.name;
     run.total_us = result.total_us;
     run.work = result.work;
-    run.report = sim::characterize(result, device, options.bound_threshold);
+    run.report = sim::characterize(result, device);
 
     std::map<std::string, Accum> by_op;
     std::map<std::string, Accum> by_subphase;
@@ -226,10 +203,9 @@ profile(const sim::SimResult &result, const sim::DeviceSpec &device,
             by_layer[parts.layer].add(k, device);
         }
     }
-    run.ops = finish_groups(by_op, device, options.bound_threshold);
-    run.subphases =
-        finish_groups(by_subphase, device, options.bound_threshold);
-    run.layers = finish_groups(by_layer, device, options.bound_threshold);
+    run.ops = finish_groups(by_op, device);
+    run.subphases = finish_groups(by_subphase, device);
+    run.layers = finish_groups(by_layer, device);
 
     if (options.include_host_timers) {
         run.host_timers = host_timer_stats();

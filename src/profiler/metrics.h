@@ -46,7 +46,8 @@ struct PhaseStats {
     double cuda_util = 0;
     double dram_util = 0;
     double l2_util = 0;
-    /// Roofline classification of the whole phase (vs span).
+    /// Roofline classification of the whole phase (vs span; see
+    /// sim::roofline).
     sim::Bound bound = sim::Bound::kLatency;
     /// Duration-weighted mean of per-kernel resident-TB fraction
     /// (avg_concurrency over the device's occupancy-limited capacity),
@@ -91,10 +92,6 @@ struct ProfiledRun {
 };
 
 struct ProfileOptions {
-    /// A phase is bound by its highest-utilization resource when that
-    /// utilization exceeds this, else latency-bound (matches
-    /// sim::characterize).
-    double bound_threshold = 0.6;
     /// Capture host_timer_stats() into the run.
     bool include_host_timers = true;
 };
@@ -110,8 +107,7 @@ ProfiledRun profile(const sim::SimResult &result,
 /// when nothing matches — every other field stays zero then.
 PhaseStats carve_prefix(const sim::SimResult &result,
                         const sim::DeviceSpec &device,
-                        const std::string &prefix,
-                        double bound_threshold = 0.6);
+                        const std::string &prefix);
 
 /// One registered phase metric: how exporters and tables enumerate the
 /// columns of a PhaseStats without hand-maintaining parallel lists.

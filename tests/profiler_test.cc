@@ -315,7 +315,7 @@ TEST(ProfilerTest, ProfileOfEmptyResultIsEmptyButValid)
 {
     const ProfiledRun run = profile(sim::SimResult{},
                                     sim::DeviceSpec::rtx3090(),
-                                    {0.6, /*include_host_timers=*/false});
+                                    {/*include_host_timers=*/false});
     EXPECT_TRUE(run.ops.empty());
     EXPECT_TRUE(run.subphases.empty());
     EXPECT_TRUE(run.layers.empty());
